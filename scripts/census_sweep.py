@@ -2,9 +2,10 @@
 """Tabulate the word census for growing side counts.
 
 Probes how common balanced, non-transitive, and irreducible sets are, and
-whether irreducible sets keep existing as n grows. Side counts beyond 6
-for three dice (or 3 for four dice) get expensive quickly; the budget flag
-guards against accidental monster runs.
+whether irreducible sets keep existing as n grows. The counts come from a
+DP, but the irreducible count walks every balanced non-transitive word,
+which gets expensive beyond n=7 for three dice (or n=4 for four); the
+budget flag guards against accidental monster runs.
 """
 
 import argparse
@@ -17,7 +18,6 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--max-sides", type=int, default=5)
     parser.add_argument("--dice", type=int, default=3)
-    parser.add_argument("--jobs", type=int, default=1)
     parser.add_argument("--budget", type=int, default=10 ** 8)
     args = parser.parse_args()
 
@@ -32,7 +32,7 @@ def main() -> None:
             print(f"{n:>3} skipped: {word_count(n, args.dice)} words over budget")
             continue
         start = time.perf_counter()
-        census = enumerate_words(n, args.dice, jobs=args.jobs, budget=args.budget)
+        census = enumerate_words(n, args.dice, budget=args.budget)
         elapsed = time.perf_counter() - start
         print(
             f"{n:>3} {census.total_words:>12} {census.balanced:>10} "

@@ -56,6 +56,7 @@ from .errors import (
     NotOddIndex,
     PositionOutOfRange,
     SameDie,
+    SearchSizeError,
     SidesTooSmall,
     TournamentSpecError,
     WrongSideCount,

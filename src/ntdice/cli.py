@@ -28,7 +28,6 @@ from .core import (
 )
 from .construct import construct_balanced_nontransitive, fibonacci_balanced, fibonacci_savage
 from .errors import (
-    BudgetExceeded,
     DiceError,
     MalformedWord,
     SidesTooSmall,
@@ -299,7 +298,7 @@ def cmd_search(args: argparse.Namespace) -> int:
         census = enumerate_words(
             args.sides, args.dice, budget=args.budget, jobs=args.jobs
         )
-    except BudgetExceeded as exc:
+    except DiceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     if args.format == "json":
@@ -336,7 +335,7 @@ def cmd_realize(args: argparse.Namespace) -> int:
             dice_set = realize_k3(tournament, args.sides)
         else:
             dice_set = search_realization(tournament, args.sides, budget=args.budget)
-    except (SidesTooSmall, BudgetExceeded) as exc:
+    except DiceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     if dice_set is None:
@@ -407,7 +406,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="with --list: only irreducible balanced non-transitive words",
     )
     p_search.add_argument("--budget", type=int, default=10 ** 8)
-    p_search.add_argument("--jobs", type=int, default=1)
+    p_search.add_argument(
+        "--jobs",
+        type=int,
+        default=1,
+        help="accepted for compatibility; ignored, results are identical",
+    )
     p_search.add_argument("--format", choices=("text", "json"), default="text")
     p_search.set_defaults(func=cmd_search)
 

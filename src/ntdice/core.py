@@ -197,7 +197,12 @@ def validate_dice(rows) -> DiceSet:
     for i, row in enumerate(dice):
         letter = ALPHABET[i]
         for label in row:
-            if not isinstance(label, int) or label < 1 or label > top:
+            if (
+                not isinstance(label, int)
+                or isinstance(label, bool)
+                or label < 1
+                or label > top
+            ):
                 raise LabelOutOfRange(
                     f"label {label!r} on die {letter} outside 1..{top}"
                 )

@@ -63,6 +63,10 @@ class ConstructionError(DiceError):
 
 # -- search -------------------------------------------------------------------
 
+class SearchSizeError(DiceError, ValueError):
+    """A search needs at least one side and 2..26 dice."""
+
+
 class BudgetExceeded(DiceError):
     """An exhaustive scan would visit more words than allowed."""
 

@@ -1,19 +1,18 @@
-"""Exhaustive word enumeration, census, and tournament realization.
+"""Word enumeration, census, and tournament realization.
 
-The census walks the full multiset-permutation tree with an iterative
-backtracker, maintaining cycle win counts incrementally so each node costs
-O(1); only letter-quota pruning applies because the plain non-transitive
-count has no sound shortcut. Balanced-only scans over three dice add a
-face-sum reachability bound that cuts the tree by orders of magnitude.
-Everything visits words in lexicographic order, and parallel runs split the
-tree at a fixed prefix depth and merge in prefix order, so results never
-depend on the worker count.
+The census lists no words. Its total is the closed form, and whether a word
+is balanced or non-transitive depends only on its final cycle-win vector,
+so a layered transfer-matrix DP over (letters placed, cycle wins) per die
+counts those classes. Listing words, the balanced non-transitive scan and
+realization search share one iterative backtracker that visits words in
+lexicographic order and prunes with sound bounds: cycle-win intervals for
+the scan, per-pair win bounds for realizations. Nothing runs in parallel,
+so results never depend on ``jobs``, which is accepted and ignored.
 """
 
 from __future__ import annotations
 
 import math
-import multiprocessing
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
@@ -23,21 +22,17 @@ from .errors import (
     BudgetExceeded,
     ConstructionError,
     NotBalancedNontransitive,
+    SearchSizeError,
     SidesTooSmall,
     TournamentSpecError,
 )
 
 DEFAULT_BUDGET = 10 ** 8
 
-# Prefix length at which the parallel census splits the tree, and the word
-# count below which forking is not worth the overhead.
-_SPLIT_DEPTH = 3
-_PARALLEL_THRESHOLD = 10_000
-
 
 @dataclass(frozen=True)
 class Census:
-    """Aggregate counts from one exhaustive scan."""
+    """Aggregate counts over every word of one size."""
 
     n: int
     m: int
@@ -117,9 +112,9 @@ def word_count(n: int, m: int) -> int:
 
 def _check_budget(n: int, m: int, budget: int) -> int:
     if n < 1:
-        raise ValueError(f"need at least one side, got n={n}")
+        raise SearchSizeError(f"need at least one side, got n={n}")
     if not 2 <= m <= len(ALPHABET):
-        raise ValueError(f"alphabet size {m} outside 2..{len(ALPHABET)}")
+        raise SearchSizeError(f"alphabet size {m} outside 2..{len(ALPHABET)}")
     total = word_count(n, m)
     if total > budget:
         raise BudgetExceeded(
@@ -168,131 +163,127 @@ def is_irreducible(word: Word) -> bool:
     return not _splits_reducibly(word.letters, word.m)
 
 
-def iter_words(n: int, m: int = 3, budget: int = DEFAULT_BUDGET) -> Iterator[str]:
-    """Yield every word with n of each of the first m letters, lexicographically."""
-    _check_budget(n, m, budget)
-    remaining = [n] * m
-    out: list[str] = []
+def _backtrack(
+    n: int,
+    m: int,
+    push: Callable[[int], None],
+    pop: Callable[[int], None],
+    dead: Callable[[int], bool],
+) -> Iterator[list[int]]:
+    """Walk every word with n of each of m letters in lexicographic order.
 
-    def rec(depth: int) -> Iterator[str]:
-        if depth == 0:
-            yield "".join(out)
-            return
-        for x in range(m):
-            if remaining[x]:
-                remaining[x] -= 1
-                out.append(ALPHABET[x])
-                yield from rec(depth - 1)
-                out.pop()
-                remaining[x] += 1
-
-    return rec(m * n)
-
-
-def _census_walk(n: int, m: int, prefix: tuple[int, ...]) -> tuple[list[int], list[str]]:
-    """Count and classify every word extending ``prefix`` (letter ids).
-
-    Returns ([total, balanced, nontransitive, bnt], bnt_words). The loop is
-    deliberately flat: it is the hot path for the multi-million-word scans.
+    ``push(x)`` appends letter x and ``pop(x)`` takes it back; ``dead(x)``
+    is asked after each placement short of a full word and cuts the subtree
+    when true. Each full word reaches the caller as the walker's own
+    letter-id list, with the caller's state still at that leaf; the list is
+    valid until the walk resumes.
     """
     mn = m * n
-    nsq = n * n
-    succ = [(x + 1) % m for x in range(m)]
     remaining = [n] * m
-    placed = [0] * m
-    cyc = [0] * m
     word = [0] * mn
-    total = balanced = nontransitive = bnt = 0
-    bnt_words: list[str] = []
-
     depth = 0
-    for x in prefix:
-        word[depth] = x
-        cyc[x] += placed[succ[x]]
-        placed[x] += 1
-        remaining[x] -= 1
-        depth += 1
-    base_depth = depth
-
     letter = 0
     while True:
         while letter < m and remaining[letter] == 0:
             letter += 1
         if letter == m:
-            if depth == base_depth:
-                break
+            if depth == 0:
+                return
             depth -= 1
             letter = word[depth]
-            placed[letter] -= 1
             remaining[letter] += 1
-            cyc[letter] -= placed[succ[letter]]
+            pop(letter)
             letter += 1
             continue
         word[depth] = letter
-        cyc[letter] += placed[succ[letter]]
-        placed[letter] += 1
         remaining[letter] -= 1
+        push(letter)
         depth += 1
         if depth == mn:
-            total += 1
-            low = min(cyc)
-            if 2 * low > nsq:
-                nontransitive += 1
-                if low == max(cyc):
-                    balanced += 1
-                    bnt += 1
-                    bnt_words.append("".join(ALPHABET[x] for x in word))
-            elif low == max(cyc):
-                balanced += 1
-            depth -= 1
-            placed[letter] -= 1
-            remaining[letter] += 1
-            cyc[letter] -= placed[succ[letter]]
-            letter += 1
-        else:
+            yield word
+        elif not dead(letter):
             letter = 0
-    return [total, balanced, nontransitive, bnt], bnt_words
+            continue
+        depth -= 1
+        remaining[letter] += 1
+        pop(letter)
+        letter += 1
 
 
-def _census_worker(args: tuple[int, int, tuple[int, ...]]):
-    return _census_walk(*args)
+def iter_words(n: int, m: int = 3, budget: int = DEFAULT_BUDGET) -> Iterator[str]:
+    """Yield every word with n of each of the first m letters, lexicographically."""
+    _check_budget(n, m, budget)
+    return (
+        "".join([ALPHABET[x] for x in word])
+        for word in _backtrack(n, m, lambda x: None, lambda x: None, lambda x: False)
+    )
 
 
-def _branch_prefixes(n: int, m: int, depth: int) -> list[tuple[int, ...]]:
-    """All valid length-``depth`` letter-id prefixes, in lexicographic order."""
-    prefixes: list[tuple[int, ...]] = []
-    counts = [0] * m
-    current: list[int] = []
+def _census_counts(n: int, m: int) -> tuple[int, int, int]:
+    """(balanced, non-transitive, balanced non-transitive) word counts.
 
-    def rec() -> None:
-        if len(current) == depth:
-            prefixes.append(tuple(current))
-            return
-        for x in range(m):
-            if counts[x] < n:
-                counts[x] += 1
-                current.append(x)
-                rec()
-                current.pop()
-                counts[x] -= 1
+    A layered transfer-matrix DP: layer d maps each state (letters placed,
+    cycle wins) per die to the number of length-d prefixes reaching it.
+    Placing a letter of die x adds placed[succ x] to cyc[x] and depends on
+    nothing else, so prefixes that share a state share their completions.
+    A state is dropped once its cycle-win intervals (``_interval_bounds``)
+    show it can end neither balanced nor non-transitive, which is why the
+    total comes from the closed form instead.
+    """
+    nsq = n * n
+    need = nsq // 2 + 1
+    succ = [(x + 1) % m for x in range(m)]
+    layer = {(0,) * (2 * m): 1}
+    for _ in range(m * n):
+        following: dict[tuple[int, ...], int] = {}
+        for state, ways in layer.items():
+            for x in range(m):
+                if state[x] == n:
+                    continue
+                nxt = list(state)
+                nxt[m + x] += state[succ[x]]
+                nxt[x] += 1
+                low, high = _interval_bounds(nxt, nxt[m:], n, succ)
+                if low > high and high < need:
+                    continue
+                key = tuple(nxt)
+                following[key] = following.get(key, 0) + ways
+        layer = following
+    balanced = nontransitive = bnt = 0
+    for state, ways in layer.items():
+        low = min(state[m:])
+        is_balanced = low == max(state[m:])
+        if 2 * low > nsq:
+            nontransitive += ways
+            if is_balanced:
+                bnt += ways
+        if is_balanced:
+            balanced += ways
+    return balanced, nontransitive, bnt
 
-    rec()
-    return prefixes
 
+def _interval_bounds(
+    placed: list[int], cyc: list[int], n: int, succ: list[int]
+) -> tuple[int, int]:
+    """(max lower, min upper) end of the dice's final cycle-win intervals.
 
-def _census_parallel(n: int, m: int, jobs: int) -> tuple[list[int], list[str]]:
-    depth = min(_SPLIT_DEPTH, m * n - 1)
-    prefixes = _branch_prefixes(n, m, depth)
-    tasks = [(n, m, p) for p in prefixes]
-    with multiprocessing.Pool(processes=min(jobs, len(tasks))) as pool:
-        results = pool.map(_census_worker, tasks)
-    counts = [0, 0, 0, 0]
-    bnt_words: list[str] = []
-    for part_counts, part_words in results:
-        for i in range(4):
-            counts[i] += part_counts[i]
-        bnt_words.extend(part_words)
-    return counts, bnt_words
+    Die x still places n - placed[x] letters, each winning at least
+    placed[succ x] and at most n, so its final cyc[x] lies in
+    [cyc[x] + rem·placed[succ x], cyc[x] + rem·n]. The dice can still end
+    balanced only if the intervals meet (low <= high), and non-transitive
+    only if every upper end clears n²/2.
+    """
+    low = 0
+    high = n * n
+    for x, wins in enumerate(cyc):
+        rem = n - placed[x]
+        lo = wins + rem * placed[succ[x]]
+        hi = wins + rem * n
+        if lo > low:
+            low = lo
+        if hi < high:
+            high = hi
+    return low, high
 
 
 def enumerate_words(
@@ -302,41 +293,30 @@ def enumerate_words(
     budget: int = DEFAULT_BUDGET,
     jobs: int = 1,
 ) -> Census:
-    """Visit every valid word exactly once, in lexicographic order.
+    """Census of every valid word; a visitor sees each one lexicographically.
 
-    Returns the aggregate census. Without a visitor the walk runs a tight
-    counting loop and may fan out over ``jobs`` processes; a visitor forces
-    sequential order so it observes the exact lexicographic stream.
+    No word is listed to count it: the total is the closed form, the
+    balanced and non-transitive counts come from ``_census_counts``, and
+    only the balanced non-transitive words are walked, to count the
+    irreducible ones. ``jobs`` is accepted for compatibility and ignored.
     """
-    total_expected = _check_budget(n, m, budget)
+    total = _check_budget(n, m, budget)
     if visitor is not None:
-        counts = [0, 0, 0, 0]
-        bnt_words: list[str] = []
-        nsq = n * n
         for letters in iter_words(n, m, budget):
             visitor(Word(letters, m))
-            counts[0] += 1
-            sums = _cycle_sums(letters, m)
-            low = min(sums)
-            bal = low == max(sums)
-            nt = 2 * low > nsq
-            counts[1] += bal
-            counts[2] += nt
-            if bal and nt:
-                counts[3] += 1
-                bnt_words.append(letters)
-    elif jobs > 1 and total_expected >= _PARALLEL_THRESHOLD:
-        counts, bnt_words = _census_parallel(n, m, jobs)
-    else:
-        counts, bnt_words = _census_walk(n, m, ())
-    irreducible = sum(1 for w in bnt_words if not _splits_reducibly(w, m))
+    balanced, nontransitive, bnt = _census_counts(n, m)
+    irreducible = sum(
+        1
+        for letters in balanced_nontransitive_words(n, m, budget)
+        if not _splits_reducibly(letters, m)
+    )
     return Census(
         n=n,
         m=m,
-        total_words=counts[0],
-        balanced=counts[1],
-        nontransitive=counts[2],
-        balanced_nontransitive=counts[3],
+        total_words=total,
+        balanced=balanced,
+        nontransitive=nontransitive,
+        balanced_nontransitive=bnt,
         irreducible_bnt=irreducible,
     )
 
@@ -346,91 +326,36 @@ def balanced_nontransitive_words(
 ) -> Iterator[str]:
     """Yield every balanced non-transitive word in lexicographic order.
 
-    For three dice, balance forces every face-sum to n(3n+1)/2, so partial
-    words whose face-sums are already over budget, or can no longer reach
-    it even with the largest remaining positions, are pruned. Other die
-    counts fall back to filtering the full stream (face-sums do not
-    characterize balance there).
+    One pruned walk for any number of dice: a prefix is cut as soon as the
+    dice's cycle-win intervals cannot meet at one W with 2W > n². For three
+    dice the balance half of this bound is exactly the face-sum
+    reachability cut (die x's extreme face-sums are the ends of the
+    intervals of x and of its predecessor), so no separate face-sum test is
+    needed.
     """
     _check_budget(n, m, budget)
-    if m != 3:
-        return (
-            letters
-            for letters in iter_words(n, m, budget)
-            if _is_bnt_letters(letters, m)
-        )
-    return _pruned_bnt_scan(n)
+    need = n * n // 2 + 1
+    succ = [(x + 1) % m for x in range(m)]
+    placed = [0] * m
+    cyc = [0] * m
 
+    def push(x: int) -> None:
+        cyc[x] += placed[succ[x]]
+        placed[x] += 1
 
-def _pruned_bnt_scan(n: int) -> Iterator[str]:
-    mn = 3 * n
-    nsq = n * n
-    target = n * (3 * n + 1) // 2
-    # prefix_sum[i] = 1 + 2 + ... + i, for the reachability bound
-    prefix_sum = [0] * (mn + 1)
-    for i in range(1, mn + 1):
-        prefix_sum[i] = prefix_sum[i - 1] + i
+    def pop(x: int) -> None:
+        placed[x] -= 1
+        cyc[x] -= placed[succ[x]]
 
-    remaining = [n] * 3
-    placed = [0] * 3
-    faces = [0] * 3
-    cyc = [0] * 3
-    word = [0] * mn
-    succ = (1, 2, 0)
+    def dead(x: int) -> bool:
+        low, high = _interval_bounds(placed, cyc, n, succ)
+        return max(low, need) > high
 
-    def dead(depth: int) -> bool:
-        # After `depth` labels are placed, letter x still needs remaining[x]
-        # of the positions depth+1 .. mn; its best case takes the largest,
-        # its worst case the smallest.
-        for x in range(3):
-            need = remaining[x]
-            best = faces[x] + prefix_sum[mn] - prefix_sum[mn - need]
-            worst = faces[x] + prefix_sum[depth + need] - prefix_sum[depth]
-            if best < target or worst > target:
-                return True
-        return False
-
-    depth = 0
-    letter = 0
-    while True:
-        while letter < 3 and remaining[letter] == 0:
-            letter += 1
-        if letter == 3:
-            if depth == 0:
-                break
-            depth -= 1
-            letter = word[depth]
-            placed[letter] -= 1
-            remaining[letter] += 1
-            faces[letter] -= depth + 1
-            cyc[letter] -= placed[succ[letter]]
-            letter += 1
-            continue
-        word[depth] = letter
-        cyc[letter] += placed[succ[letter]]
-        placed[letter] += 1
-        remaining[letter] -= 1
-        faces[letter] += depth + 1
-        depth += 1
-        if depth == mn:
-            if 2 * min(cyc) > nsq:
-                # equal face-sums guarantee balance for three dice
-                yield "".join(ALPHABET[x] for x in word)
-            depth -= 1
-            placed[letter] -= 1
-            remaining[letter] += 1
-            faces[letter] -= depth + 1
-            cyc[letter] -= placed[succ[letter]]
-            letter += 1
-        elif dead(depth):
-            depth -= 1
-            placed[letter] -= 1
-            remaining[letter] += 1
-            faces[letter] -= depth + 1
-            cyc[letter] -= placed[succ[letter]]
-            letter += 1
-        else:
-            letter = 0
+    return (
+        "".join([ALPHABET[x] for x in word])
+        for word in _backtrack(n, m, push, pop, dead)
+        if not dead(0)
+    )
 
 
 def majority_digraph(dice_set: DiceSet) -> frozenset[tuple[int, int]]:
@@ -501,35 +426,30 @@ def search_realization(
     """
     m = tournament.m
     _check_budget(n, m, budget)
-    mn = m * n
     nsq = n * n
     need = nsq // 2 + 1
     cap = (nsq - 1) // 2
     others = [[y for y in range(m) if y != x] for x in range(m)]
     must_beat = [[tournament.beats(x, y) for y in range(m)] for x in range(m)]
 
-    remaining = [n] * m
     placed = [0] * m
     wins = [[0] * m for _ in range(m)]
-    word = [0] * mn
 
     def push(x: int) -> None:
         row = wins[x]
         for y in others[x]:
             row[y] += placed[y]
         placed[x] += 1
-        remaining[x] -= 1
 
     def pop(x: int) -> None:
         placed[x] -= 1
-        remaining[x] += 1
         row = wins[x]
         for y in others[x]:
             row[y] -= placed[y]
 
     def dead(x: int) -> bool:
         row = wins[x]
-        slack = remaining[x] * n
+        slack = (n - placed[x]) * n
         for y in others[x]:
             if must_beat[x][y]:
                 if row[y] + slack < need:
@@ -538,37 +458,13 @@ def search_realization(
                 return True
         return False
 
-    depth = 0
-    letter = 0
-    while True:
-        while letter < m and remaining[letter] == 0:
-            letter += 1
-        if letter == m:
-            if depth == 0:
-                return None
-            depth -= 1
-            letter = word[depth]
-            pop(letter)
-            letter += 1
-            continue
-        word[depth] = letter
-        push(letter)
-        depth += 1
-        if depth == mn:
-            if all(
-                wins[x][y] >= need
-                for x in range(m)
-                for y in others[x]
-                if must_beat[x][y]
-            ):
-                letters = "".join(ALPHABET[x] for x in word)
-                return dice_of_word(Word(letters, m))
-            depth -= 1
-            pop(letter)
-            letter += 1
-        elif dead(letter):
-            depth -= 1
-            pop(letter)
-            letter += 1
-        else:
-            letter = 0
+    for word in _backtrack(n, m, push, pop, dead):
+        if all(
+            wins[x][y] >= need
+            for x in range(m)
+            for y in others[x]
+            if must_beat[x][y]
+        ):
+            letters = "".join([ALPHABET[x] for x in word])
+            return dice_of_word(Word(letters, m))
+    return None

@@ -125,6 +125,14 @@ def test_verify_rejects_inconsistent_document(run):
     assert "'n'" in err
 
 
+def test_verify_rejects_bool_labels(run):
+    doc = '{"schema":"dice-set/1","m":2,"n":2,"dice":{"a":[true,2],"b":[3,4]}}'
+    code, out, err = run(["verify", doc])
+    assert code == 2
+    assert out == ""
+    assert "True" in err
+
+
 # -- gen -------------------------------------------------------------------------
 
 def test_gen_three_sides_is_the_classic_example(run):
@@ -257,6 +265,23 @@ def test_search_jobs_flag_changes_nothing(run):
     _, serial, _ = run(["search", "--sides", "4", "--count", "--format", "json"])
     _, parallel, _ = run(["search", "--sides", "4", "--count", "--jobs", "2", "--format", "json"])
     assert serial == parallel
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["search", "--sides", "0"],
+        ["search", "--sides", "3", "--dice", "1"],
+        ["search", "--sides", "3", "--dice", "27"],
+        ["realize", "--tournament", "1>2", "--sides", "0"],
+    ],
+    ids=["no-sides", "one-die", "27-dice", "realize-no-sides"],
+)
+def test_search_size_errors_are_usage_errors(run, argv):
+    code, out, err = run(argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 # -- realize ---------------------------------------------------------------------

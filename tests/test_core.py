@@ -88,6 +88,11 @@ def test_validate_label_out_of_range():
         validate_dice([[0, 2], [3, 4], [5, 6]])
 
 
+def test_validate_rejects_bool_label():
+    with pytest.raises(LabelOutOfRange, match="True"):
+        validate_dice([[True, 2], [3, 4]])
+
+
 def test_validate_wrong_side_count():
     with pytest.raises(WrongSideCount, match="die b"):
         validate_dice([[1, 2], [3], [4, 5, 6]])

@@ -169,6 +169,79 @@ def test_bnt_set_closed_under_letter_rotation(n):
     assert {_rotate(w, 3) for w in bnt} == bnt
 
 
+# -- DP census vs independent routes -------------------------------------------------
+
+def brute_census(n: int, m: int) -> tuple[int, int, int, int]:
+    """(total, balanced, non-transitive, BNT) from every word of iter_words,
+    with cycle wins counted per word here rather than by the package."""
+    nsq = n * n
+    succ = {chr(97 + x): chr(97 + (x + 1) % m) for x in range(m)}
+    counts = [0, 0, 0, 0]
+    for letters in iter_words(n, m, budget=word_count(n, m)):
+        seen = dict.fromkeys(succ, 0)
+        wins = dict.fromkeys(succ, 0)
+        for ch in letters:
+            wins[ch] += seen[succ[ch]]
+            seen[ch] += 1
+        low, high = min(wins.values()), max(wins.values())
+        counts[0] += 1
+        counts[1] += low == high
+        counts[2] += 2 * low > nsq
+        counts[3] += low == high and 2 * low > nsq
+    return tuple(counts)
+
+
+# Every size with at most 4×10⁵ words: m >= 10, or n > 10 at m = 2, exceeds it.
+BRUTE_SIZES = [
+    pytest.param(n, m, marks=[pytest.mark.slow] if word_count(n, m) > 10 ** 5 else [])
+    for m in range(2, 10)
+    for n in range(1, 11)
+    if word_count(n, m) <= 4 * 10 ** 5
+]
+
+
+@pytest.mark.parametrize("n,m", BRUTE_SIZES)
+def test_census_matches_brute_force(n, m):
+    c = enumerate_words(n, m)
+    got = (c.total_words, c.balanced, c.nontransitive, c.balanced_nontransitive)
+    assert got == brute_census(n, m)
+
+
+def equal_face_sum_partitions(n: int) -> int:
+    """Ordered splits of 1..3n into three n-label dice with equal face-sums,
+    counted by a DP over labels that never looks at a word."""
+    target = n * (3 * n + 1) // 2
+    # (labels on a, sum of a, labels on b, sum of b) -> ways; c takes the rest
+    states = {(0, 0, 0, 0): 1}
+    for label in range(1, 3 * n + 1):
+        following: dict[tuple[int, int, int, int], int] = {}
+        for (ka, sa, kb, sb), ways in states.items():
+            for key in (
+                (ka + 1, sa + label, kb, sb),
+                (ka, sa, kb + 1, sb + label),
+                (ka, sa, kb, sb),
+            ):
+                if key[0] > n or key[1] > target or key[2] > n or key[3] > target:
+                    continue
+                if label - key[0] - key[2] > n:
+                    continue
+                following[key] = following.get(key, 0) + ways
+        states = following
+    return states.get((n, target, n, target), 0)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_census_balanced_matches_face_sum_partitions(n):
+    assert enumerate_words(n, 3).balanced == equal_face_sum_partitions(n)
+
+
+@pytest.mark.parametrize("n,m,count", [(6, 3, 5730), (4, 4, 1976)])
+def test_bnt_walk_matches_census_dp(n, m, count):
+    words = list(balanced_nontransitive_words(n, m))
+    assert len(words) == enumerate_words(n, m).balanced_nontransitive == count
+    assert words == sorted(words)
+
+
 # -- balanced-only scan ----------------------------------------------------------------
 
 def test_bnt_words_n3_pinned():
