@@ -2,10 +2,10 @@
 """Tabulate the word census for growing side counts.
 
 Probes how common balanced, non-transitive, and irreducible sets are, and
-whether irreducible sets keep existing as n grows. The counts come from a
-DP, but the irreducible count walks every balanced non-transitive word,
-which gets expensive beyond n=7 for three dice (or n=4 for four); the
-budget flag guards against accidental monster runs.
+whether irreducible sets keep existing as n grows. Every count, the
+irreducible one included, comes from a DP that walks no words; its cost
+grows with the number of DP states, about a second at n=8 for three dice.
+The budget flag guards against accidental monster runs.
 """
 
 import argparse

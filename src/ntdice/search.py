@@ -3,11 +3,15 @@
 The census lists no words. Its total is the closed form, and whether a word
 is balanced or non-transitive depends only on its final cycle-win vector,
 so a layered transfer-matrix DP over (letters placed, cycle wins) per die
-counts those classes. Listing words, the balanced non-transitive scan and
-realization search share one iterative backtracker that visits words in
-lexicographic order and prunes with sound bounds: cycle-win intervals for
-the scan, per-pair win bounds for realizations. Nothing runs in parallel,
-so results never depend on ``jobs``, which is accepted and ignored.
+counts those classes. Whether a balanced non-transitive word is irreducible
+depends only on that vector and on the cycle wins at each cut where every
+die has placed the same number of letters, so the same DP, carrying one
+threshold per state, counts the irreducible words too. Listing words, the
+balanced non-transitive scan and realization search share one iterative
+backtracker that visits words in lexicographic order and prunes with sound
+bounds: cycle-win intervals for the scan, per-pair win bounds for
+realizations. Nothing runs in parallel, so results never depend on
+``jobs``, which is accepted and ignored.
 """
 
 from __future__ import annotations
@@ -219,47 +223,71 @@ def iter_words(n: int, m: int = 3, budget: int = DEFAULT_BUDGET) -> Iterator[str
     )
 
 
-def _census_counts(n: int, m: int) -> tuple[int, int, int]:
-    """(balanced, non-transitive, balanced non-transitive) word counts.
+def _census_counts(n: int, m: int) -> tuple[int, int, int, int]:
+    """(balanced, non-transitive, balanced non-transitive, irreducible) counts.
 
     A layered transfer-matrix DP: layer d maps each state (letters placed,
-    cycle wins) per die to the number of length-d prefixes reaching it.
-    Placing a letter of die x adds placed[succ x] to cyc[x] and depends on
-    nothing else, so prefixes that share a state share their completions.
-    A state is dropped once its cycle-win intervals (``_interval_bounds``)
-    show it can end neither balanced nor non-transitive, which is why the
-    total comes from the closed form instead.
+    cycle wins) per die, plus ``thr``, to the number of length-d prefixes
+    reaching it. Placing a letter of die x adds placed[succ x] to cyc[x] and
+    depends on nothing else, so prefixes that share a state share their
+    completions. A state is dropped once its cycle-win intervals
+    (``_interval_bounds``) show it can end neither balanced nor
+    non-transitive, which is why the total comes from the closed form.
+
+    Irreducibility is decided by the state too. Cut a word after j letters
+    of every die: each suffix letter of die x beats all j prefix letters of
+    succ x, so the suffix's cycle wins are W - Wp - j(n - j) for final wins
+    W and prefix wins Wp. A balanced non-transitive prefix therefore splits
+    off a balanced non-transitive suffix exactly when the word ends balanced
+    at W >= Wp + j(n - j) + (n - j)²//2 + 1. ``thr`` is the least such W over
+    the cuts so far (n² + 1 when there is none), and a balanced
+    non-transitive word is irreducible when W < thr.
     """
     nsq = n * n
     need = nsq // 2 + 1
     succ = [(x + 1) % m for x in range(m)]
-    layer = {(0,) * (2 * m): 1}
-    for _ in range(m * n):
+    layer = {(0,) * (2 * m) + (nsq + 1,): 1}
+    for depth in range(m * n):
+        j = depth // m
+        cut = j and depth == m * j
+        placed = (j,) * m
+        tail = j * (n - j) + (n - j) ** 2 // 2 + 1
         following: dict[tuple[int, ...], int] = {}
         for state, ways in layer.items():
+            wins = state[m]
+            if (
+                cut
+                and 2 * wins > j * j
+                and state[:m] == placed
+                and state[m : 2 * m] == (wins,) * m
+            ):
+                state = state[:-1] + (min(state[-1], wins + tail),)
             for x in range(m):
                 if state[x] == n:
                     continue
                 nxt = list(state)
                 nxt[m + x] += state[succ[x]]
                 nxt[x] += 1
-                low, high = _interval_bounds(nxt, nxt[m:], n, succ)
+                low, high = _interval_bounds(nxt, nxt[m : 2 * m], n, succ)
                 if low > high and high < need:
                     continue
                 key = tuple(nxt)
                 following[key] = following.get(key, 0) + ways
         layer = following
-    balanced = nontransitive = bnt = 0
+    balanced = nontransitive = bnt = irreducible = 0
     for state, ways in layer.items():
-        low = min(state[m:])
-        is_balanced = low == max(state[m:])
+        cyc = state[m : 2 * m]
+        low = min(cyc)
+        is_balanced = low == max(cyc)
         if 2 * low > nsq:
             nontransitive += ways
             if is_balanced:
                 bnt += ways
+                if low < state[-1]:
+                    irreducible += ways
         if is_balanced:
             balanced += ways
-    return balanced, nontransitive, bnt
+    return balanced, nontransitive, bnt, irreducible
 
 
 def _interval_bounds(
@@ -295,21 +323,16 @@ def enumerate_words(
 ) -> Census:
     """Census of every valid word; a visitor sees each one lexicographically.
 
-    No word is listed to count it: the total is the closed form, the
-    balanced and non-transitive counts come from ``_census_counts``, and
-    only the balanced non-transitive words are walked, to count the
-    irreducible ones. ``jobs`` is accepted for compatibility and ignored.
+    No word is listed to count it: the total is the closed form and the
+    balanced, non-transitive, balanced non-transitive and irreducible
+    counts all come from the DP in ``_census_counts``. ``jobs`` is accepted
+    for compatibility and ignored.
     """
     total = _check_budget(n, m, budget)
     if visitor is not None:
         for letters in iter_words(n, m, budget):
             visitor(Word(letters, m))
-    balanced, nontransitive, bnt = _census_counts(n, m)
-    irreducible = sum(
-        1
-        for letters in balanced_nontransitive_words(n, m, budget)
-        if not _splits_reducibly(letters, m)
-    )
+    balanced, nontransitive, bnt, irreducible = _census_counts(n, m)
     return Census(
         n=n,
         m=m,

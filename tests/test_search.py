@@ -159,6 +159,12 @@ def test_census_rotation_divisibility():
         assert count % 4 == 0
 
 
+@pytest.mark.parametrize("n,m", [(3, 3), (6, 3), (3, 4), (4, 4), (3, 5)])
+def test_census_irreducible_rotation_divisibility(n, m):
+    # Rotating the letters maps irreducible words onto irreducible words.
+    assert enumerate_words(n, m, budget=word_count(n, m)).irreducible_bnt % m == 0
+
+
 def _rotate(letters: str, m: int) -> str:
     return "".join("abcd"[(ord(ch) - 97 + 1) % m] for ch in letters)
 
@@ -240,6 +246,67 @@ def test_bnt_walk_matches_census_dp(n, m, count):
     words = list(balanced_nontransitive_words(n, m))
     assert len(words) == enumerate_words(n, m).balanced_nontransitive == count
     assert words == sorted(words)
+
+
+def is_bnt_by_hand(letters: str, m: int) -> bool:
+    """Balanced non-transitive test with cycle wins counted here."""
+    n = len(letters) // m
+    seen = [0] * m
+    wins = [0] * m
+    for ch in letters:
+        x = ord(ch) - 97
+        wins[x] += seen[(x + 1) % m]
+        seen[x] += 1
+    return seen == [n] * m and min(wins) == max(wins) and 2 * wins[0] > n * n
+
+
+def irreducible_by_hand(letters: str, m: int) -> bool:
+    """No cut after j letters of every die leaves two BNT halves."""
+    n = len(letters) // m
+    return not any(
+        is_bnt_by_hand(letters[: m * j], m) and is_bnt_by_hand(letters[m * j :], m)
+        for j in range(1, n)
+    )
+
+
+@pytest.mark.parametrize(
+    "n,m,count",
+    [(3, 3, 6), (4, 3, 18), (5, 3, 915), (6, 3, 5694), (3, 4, 148), (4, 4, 1976), (3, 5, 8680)],
+)
+def test_census_irreducible_matches_cut_check(n, m, count):
+    budget = word_count(n, m)
+    walked = sum(
+        irreducible_by_hand(letters, m)
+        for letters in balanced_nontransitive_words(n, m, budget)
+    )
+    assert enumerate_words(n, m, budget=budget).irreducible_bnt == walked == count
+
+
+def test_census_n7_pinned():
+    # Second routes: the closed form for the total, the face-sum partition
+    # count for balanced, the slow BNT walk below for BNT and irreducible.
+    # Non-transitive (2,093,199 by the DP) stays unpinned: only the DP
+    # counts it.
+    c = enumerate_words(7, 3, budget=10 ** 9)
+    assert (c.total_words, c.balanced, c.balanced_nontransitive, c.irreducible_bnt) == (
+        399072960,
+        379566,
+        189783,
+        189567,
+    )
+
+
+def test_face_sum_partitions_n7():
+    assert equal_face_sum_partitions(7) == 379566
+
+
+@pytest.mark.slow
+def test_bnt_walk_n7_pinned():
+    words = irreducible = 0
+    for letters in balanced_nontransitive_words(7, 3, budget=word_count(7, 3)):
+        words += 1
+        irreducible += irreducible_by_hand(letters, 3)
+    assert (words, irreducible) == (189783, 189567)
 
 
 # -- balanced-only scan ----------------------------------------------------------------
