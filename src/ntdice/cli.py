@@ -5,12 +5,17 @@ non-transitive verdict, successful construction, witness found), 1 for a
 negative result, 2 for usage or parse errors. JSON output is canonical:
 fixed key order, labels descending, and odds always as exact integer pairs
 with a ``display`` string, never floats.
+
+``main`` is the one error boundary. Commands and parsers raise; ``main``
+turns any ``DiceError`` (``InputError`` included) into one ``error:`` line
+on stderr and exit 2, and a reader closing the pipe into a quiet exit 0.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .core import (
@@ -19,27 +24,21 @@ from .core import (
     DiceSet,
     WinOdds,
     Word,
-    beat_count,
     cycle_odds,
     dice_of_word,
     face_sums,
     validate_dice,
     verify,
+    win_probability,
 )
 from .construct import construct_balanced_nontransitive, fibonacci_balanced, fibonacci_savage
-from .errors import (
-    DiceError,
-    MalformedWord,
-    SidesTooSmall,
-    TournamentSpecError,
-)
+from .errors import DiceError, MalformedWord
 from .search import (
     Tournament,
     balanced_nontransitive_words,
     enumerate_words,
     is_irreducible,
     iter_words,
-    majority_digraph,
     realize_k3,
     search_realization,
 )
@@ -53,7 +52,7 @@ EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 
 
-class InputError(Exception):
+class InputError(DiceError):
     """Input that cannot be parsed as dice, a word, or a document."""
 
 
@@ -81,6 +80,8 @@ def _parse_document(text: str) -> DiceSet:
         raise InputError(
             f"bad JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except (RecursionError, ValueError) as exc:  # too deep, or too many digits
+        raise InputError(f"bad JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise InputError("JSON input must be an object")
     if doc.get("schema") != DICE_SCHEMA:
@@ -95,10 +96,10 @@ def _parse_document(text: str) -> DiceSet:
             f"dice letters must be exactly {expected_letters}, got {sorted(dice)}"
         )
     rows = [dice[ch] for ch in expected_letters]
-    try:
-        result = validate_dice(rows)
-    except DiceError as exc:
-        raise InputError(str(exc)) from exc
+    for ch, row in zip(expected_letters, rows):
+        if not isinstance(row, list):
+            raise InputError(f"die {ch!r} must be a label array, got {json.dumps(row)}")
+    result = validate_dice(rows)
     for field in ("m", "n"):
         if field in doc and doc[field] != getattr(result, field):
             raise InputError(
@@ -138,21 +139,22 @@ def _parse_rows(text: str) -> DiceSet:
     expected = list(ALPHABET[: len(rows)])
     if sorted(rows) != expected:
         raise InputError(f"dice must be named {expected}, got {sorted(rows)}")
-    try:
-        return validate_dice([rows[ch] for ch in expected])
-    except DiceError as exc:
-        raise InputError(str(exc)) from exc
+    return validate_dice([rows[ch] for ch in expected])
 
 
 def _read_input(source: str) -> str:
-    import os
-
-    if source == "-":
-        return sys.stdin.read()
-    if os.path.exists(source):
+    """stdin for ``-``, the text of the file ``source`` names, else ``source``."""
+    if source != "-" and not os.path.exists(source):
+        return source
+    try:
+        if source == "-":
+            return sys.stdin.read()
         with open(source, encoding="utf-8") as handle:
             return handle.read()
-    return source
+    except (OSError, UnicodeDecodeError) as exc:
+        name = "stdin" if source == "-" else source
+        reason = getattr(exc, "strerror", None) or exc
+        raise InputError(f"cannot read {name}: {reason}") from exc
 
 
 # -- output rendering ---------------------------------------------------------
@@ -210,11 +212,7 @@ def _emit_dice(dice_set: DiceSet, annotations: dict, fmt: str) -> None:
 # -- subcommands ---------------------------------------------------------------
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    try:
-        dice_set = parse_dice_input(_read_input(args.input))
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    dice_set = parse_dice_input(_read_input(args.input))
     verdict = verify(dice_set)
     sums = face_sums(dice_set)
     if args.format == "json":
@@ -246,11 +244,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
-    try:
-        dice_set = construct_balanced_nontransitive(args.sides, args.dice)
-    except SidesTooSmall as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    dice_set = construct_balanced_nontransitive(args.sides, args.dice)
     annotations = {
         "command": f"gen --sides {args.sides} --dice {args.dice}",
         "cycle_odds": _cycle_odds_annotation(dice_set),
@@ -261,14 +255,10 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_fib(args: argparse.Namespace) -> int:
-    try:
-        if args.balanced:
-            dice_set = fibonacci_balanced(args.k)
-        else:
-            dice_set = fibonacci_savage(args.k)
-    except DiceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    if args.balanced:
+        dice_set = fibonacci_balanced(args.k)
+    else:
+        dice_set = fibonacci_savage(args.k)
     flag = " --balanced" if args.balanced else ""
     annotations = {
         "command": f"fib --k {args.k}{flag}",
@@ -281,26 +271,19 @@ def cmd_fib(args: argparse.Namespace) -> int:
 
 def cmd_search(args: argparse.Namespace) -> int:
     if args.irreducible_only and not args.list:
-        print("error: --irreducible-only requires --list", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        if args.list:
-            if args.irreducible_only:
-                for letters in balanced_nontransitive_words(
-                    args.sides, args.dice, budget=args.budget
-                ):
-                    if is_irreducible(Word(letters, args.dice)):
-                        print(letters)
-            else:
-                for letters in iter_words(args.sides, args.dice, budget=args.budget):
+        raise InputError("--irreducible-only requires --list")
+    if args.list:
+        if args.irreducible_only:
+            for letters in balanced_nontransitive_words(
+                args.sides, args.dice, budget=args.budget
+            ):
+                if is_irreducible(Word(letters, args.dice)):
                     print(letters)
-            return EXIT_OK
-        census = enumerate_words(
-            args.sides, args.dice, budget=args.budget, jobs=args.jobs
-        )
-    except DiceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        else:
+            for letters in iter_words(args.sides, args.dice, budget=args.budget):
+                print(letters)
+        return EXIT_OK
+    census = enumerate_words(args.sides, args.dice, budget=args.budget, jobs=args.jobs)
     if args.format == "json":
         doc = {
             "schema": CENSUS_SCHEMA,
@@ -325,37 +308,24 @@ def cmd_search(args: argparse.Namespace) -> int:
 
 
 def cmd_realize(args: argparse.Namespace) -> int:
-    try:
-        tournament = Tournament.from_text(args.tournament)
-    except TournamentSpecError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        if tournament.m == 3:
-            dice_set = realize_k3(tournament, args.sides)
-        else:
-            dice_set = search_realization(tournament, args.sides, budget=args.budget)
-    except DiceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    tournament = Tournament.from_text(args.tournament)
+    if tournament.m == 3:
+        dice_set = realize_k3(tournament, args.sides)
+    else:
+        dice_set = search_realization(tournament, args.sides, budget=args.budget)
     if dice_set is None:
         print("none")
         return EXIT_NEGATIVE
-    if majority_digraph(dice_set) != tournament.edges:
-        print("error: realization failed its self-check", file=sys.stderr)
-        return EXIT_USAGE
-    pairwise = []
-    n2 = dice_set.n * dice_set.n
-    for i, j in sorted(tournament.edges):
-        wins = beat_count(dice_set, i, j)
-        pairwise.append(
-            {
-                "pair": f"{ALPHABET[i]}>{ALPHABET[j]}",
-                "wins": wins,
-                "trials": n2,
-                "display": f"{wins}/{n2}",
-            }
-        )
+    # Both routes guarantee the result realizes the tournament: realize_k3
+    # checks it, and search_realization takes only words where every
+    # required win passes n²/2, so each reverse direction loses.
+    pairwise = [
+        {
+            "pair": f"{ALPHABET[i]}>{ALPHABET[j]}",
+            **_odds_json(win_probability(dice_set, i, j)),
+        }
+        for i, j in sorted(tournament.edges)
+    ]
     annotations = {
         "command": f"realize --tournament {args.tournament} --sides {args.sides}",
         "pairwise_odds": pairwise,
@@ -429,7 +399,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except DiceError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except BrokenPipeError:
+        # The reader has gone; what was written is correct. Point stdout at
+        # devnull so the interpreter's final flush does not fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -127,44 +127,45 @@ def _check_budget(n: int, m: int, budget: int) -> int:
     return total
 
 
-def _cycle_sums(letters: str, m: int) -> list[int]:
-    """Win counts around the die cycle, read off the word in one pass."""
-    counts = [0] * m
-    sums = [0] * m
-    for ch in letters:
-        x = ord(ch) - 97
-        sums[x] += counts[x + 1 - m if x == m - 1 else x + 1]
-        counts[x] += 1
-    return sums
+def _cut_threshold(j: int, n: int, wins: int) -> int:
+    """Least final cycle-win count W at which a cut splits off a balanced
+    non-transitive suffix, for a balanced non-transitive prefix of j letters
+    per die with cycle wins ``wins``.
 
-
-def _is_bnt_letters(letters: str, m: int) -> bool:
-    n = len(letters) // m
-    sums = _cycle_sums(letters, m)
-    low = min(sums)
-    return low == max(sums) and 2 * low > n * n
-
-
-def _splits_reducibly(letters: str, m: int) -> bool:
-    """True when some cut yields two valid balanced non-transitive words."""
-    n = len(letters) // m
-    for j in range(1, n):
-        cut = m * j
-        prefix = letters[:cut]
-        if any(prefix.count(ALPHABET[x]) != j for x in range(m)):
-            continue
-        if _is_bnt_letters(prefix, m) and _is_bnt_letters(letters[cut:], m):
-            return True
-    return False
+    Each suffix letter of die x beats all j prefix letters of succ x, so the
+    suffix's cycle wins are W - wins - j(n - j): balanced whenever the whole
+    word is, and non-transitive once they pass (n - j)²/2.
+    """
+    return wins + j * (n - j) + (n - j) ** 2 // 2 + 1
 
 
 def is_irreducible(word: Word) -> bool:
-    """True when no cut splits the word into two balanced non-transitive words."""
-    if not _is_bnt_letters(word.letters, word.m):
+    """True when no cut splits the word into two balanced non-transitive words.
+
+    One pass: at each cut where every die has placed j letters with equal
+    cycle wins Wp and 2·Wp > j², the word would split once its final wins W
+    reach ``_cut_threshold(j, n, Wp)``; ``thr`` keeps the least of these.
+    """
+    m, n = word.m, word.n
+    succ = [(x + 1) % m for x in range(m)]
+    placed = [0] * m
+    cyc = [0] * m
+    thr = n * n + 1
+    for depth, ch in enumerate(word.letters, start=1):
+        x = ord(ch) - 97
+        cyc[x] += placed[succ[x]]
+        placed[x] += 1
+        j, rest = divmod(depth, m)
+        if rest == 0 and j < n:
+            wins = cyc[0]
+            if 2 * wins > j * j and placed == [j] * m and cyc == [wins] * m:
+                thr = min(thr, _cut_threshold(j, n, wins))
+    wins = cyc[0]
+    if cyc != [wins] * m or 2 * wins <= n * n:
         raise NotBalancedNontransitive(
             f"{word.letters!r} is not balanced non-transitive"
         )
-    return not _splits_reducibly(word.letters, word.m)
+    return wins < thr
 
 
 def _backtrack(
@@ -234,14 +235,11 @@ def _census_counts(n: int, m: int) -> tuple[int, int, int, int]:
     (``_interval_bounds``) show it can end neither balanced nor
     non-transitive, which is why the total comes from the closed form.
 
-    Irreducibility is decided by the state too. Cut a word after j letters
-    of every die: each suffix letter of die x beats all j prefix letters of
-    succ x, so the suffix's cycle wins are W - Wp - j(n - j) for final wins
-    W and prefix wins Wp. A balanced non-transitive prefix therefore splits
-    off a balanced non-transitive suffix exactly when the word ends balanced
-    at W >= Wp + j(n - j) + (n - j)²//2 + 1. ``thr`` is the least such W over
-    the cuts so far (n² + 1 when there is none), and a balanced
-    non-transitive word is irreducible when W < thr.
+    Irreducibility is decided by the state too, by the rule of
+    ``is_irreducible``: ``thr`` starts at n² + 1 and, at each cut where
+    every die has placed j letters and the prefix is balanced non-transitive
+    with wins Wp, drops to ``_cut_threshold(j, n, Wp)`` if that is lower. A
+    balanced non-transitive word is irreducible when its final wins W < thr.
     """
     nsq = n * n
     need = nsq // 2 + 1
@@ -251,7 +249,6 @@ def _census_counts(n: int, m: int) -> tuple[int, int, int, int]:
         j = depth // m
         cut = j and depth == m * j
         placed = (j,) * m
-        tail = j * (n - j) + (n - j) ** 2 // 2 + 1
         following: dict[tuple[int, ...], int] = {}
         for state, ways in layer.items():
             wins = state[m]
@@ -261,7 +258,7 @@ def _census_counts(n: int, m: int) -> tuple[int, int, int, int]:
                 and state[:m] == placed
                 and state[m : 2 * m] == (wins,) * m
             ):
-                state = state[:-1] + (min(state[-1], wins + tail),)
+                state = state[:-1] + (min(state[-1], _cut_threshold(j, n, wins)),)
             for x in range(m):
                 if state[x] == n:
                     continue

@@ -2,10 +2,18 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ntdice.cli import main
+from ntdice.cli import DICE_SCHEMA, dice_document, main, parse_dice_input
 
 CLASSIC_WORD = "acbbaccba"
 CLASSIC_ROWS = "a: 9 5 1\nb: 8 4 3\nc: 7 6 2"
@@ -24,6 +32,12 @@ def run(capsys, monkeypatch):
         return code, captured.out, captured.err
 
     return invoke
+
+
+def assert_usage_error(code, out, err):
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def assert_no_floats(value):
@@ -131,6 +145,30 @@ def test_verify_rejects_bool_labels(run):
     assert code == 2
     assert out == ""
     assert "True" in err
+
+
+def test_verify_directory_is_usage_error(run, tmp_path):
+    assert_usage_error(*run(["verify", str(tmp_path)]))
+
+
+def test_verify_non_utf8_file_is_usage_error(run, tmp_path):
+    path = tmp_path / "dice.txt"
+    path.write_bytes(b"a: 9 5 1\nb: 8 4 3\nc: 7 6 \xff\n")
+    assert_usage_error(*run(["verify", str(path)]))
+
+
+@pytest.mark.parametrize("row", ["5", "null"])
+def test_verify_non_array_die_is_usage_error(run, row):
+    doc = '{"schema":"dice-set/1","dice":{"a":%s,"b":[2]}}' % row
+    assert_usage_error(*run(["verify", doc]))
+
+
+@pytest.mark.parametrize(
+    "labels", ["[" * 100_000, "[" + "1" * 5000 + "]"], ids=["deep", "long-int"]
+)
+def test_verify_unloadable_json_is_usage_error(run, labels):
+    doc = '{"schema":"dice-set/1","dice":{"a":%s}}' % labels
+    assert_usage_error(*run(["verify", doc]))
 
 
 # -- gen -------------------------------------------------------------------------
@@ -365,3 +403,122 @@ def test_missing_subcommand_is_usage_error(run):
 def test_unknown_format_is_usage_error(run):
     code, _, _ = run(["verify", CLASSIC_WORD, "--format", "xml"])
     assert code == 2
+
+
+def test_closed_pipe_exits_quietly():
+    # n=4 lists 34,650 words, far more than a pipe buffer holds, so the
+    # writer meets the closed pipe mid-stream.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "ntdice", "search", "--sides", "4", "--list"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.stdout.readline() == b"aaaabbbbcccc\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0
+    assert err == b""
+
+
+# -- argv contract -------------------------------------------------------------------
+
+DIRECTORY, NON_UTF8 = "<directory>", "<non-utf8 file>"
+VERIFY_INPUTS = [
+    CLASSIC_WORD,
+    CLASSIC_WORD * 2,
+    "aabbbc",
+    CLASSIC_ROWS,
+    "a: 9 5 1\nb: 7 6 2\nc: 8 4 3",
+    "a: 9 5 x",
+    "a: 1 / a: 2",
+    "",
+    "-",
+    '{"schema":"dice-set/1","dice":{"a":[9,5,1],"b":[8,4,3],"c":[7,6,2]}}',
+    '{"schema":"dice-set/1","dice":{"a":5,"b":[2]}}',
+    '{"schema":"dice-set/1","dice":{"a":null,"b":[2]}}',
+    '{"schema":"dice-set/1","m":2,"n":2,"dice":{"a":[true,2],"b":[3,4]}}',
+    '{"schema":"dice-set/1","dice":{"a":[1],"c":[2]}}',
+    '{"schema": ',
+    '{"schema":"dice-set/1","dice":{"a":' + "[" * 100_000 + "}}",
+    DIRECTORY,
+    NON_UTF8,
+]
+TOURNAMENTS = [
+    "1>2,2>3,3>1",
+    "1>3,3>2,2>1",
+    "1>2,1>3,2>3",
+    "1>2",
+    "1>2,2>3,3>4,4>1,3>1,2>4",
+    "1>2,2>3,3>1,1>4,2>4,3>4",
+    "1>2,2>3",
+    "1>2,2>1,1>3,2>3",
+    "1>1",
+    "0>1",
+    "a>b",
+    "",
+]
+SIDES = st.integers(-1, 3).map(str)
+DICE = st.sampled_from(["1", "2", "3", "27"])
+FORMATS = st.sampled_from([[], ["--format", "text"], ["--format", "json"], ["--format", "xml"]])
+SEARCH_MODES = [[], ["--count"], ["--list"], ["--count", "--list"]]
+SEARCH_FLAGS = [["--irreducible-only"], ["--budget", "0"], ["--budget", "1000"], ["--jobs", "2"]]
+STRAY_ARGVS = [[], ["bogus"], ["gen"], ["verify"], ["fib", "--k", "x"]]
+STDIN = st.sampled_from(["", CLASSIC_ROWS, CLASSIC_WORD, "abc\x00"])
+
+
+@st.composite
+def argvs(draw):
+    """argv from a fixed grammar, sized so every command runs in milliseconds."""
+    command = draw(st.sampled_from(["verify", "gen", "fib", "search", "realize", None]))
+    fmt = draw(FORMATS)
+    if command == "verify":
+        return ["verify", draw(st.sampled_from(VERIFY_INPUTS)), *fmt]
+    if command == "gen":
+        return ["gen", "--sides", draw(SIDES), "--dice", draw(DICE), *fmt]
+    if command == "fib":
+        balanced = draw(st.sampled_from([[], ["--balanced"]]))
+        return ["fib", "--k", str(draw(st.integers(-1, 9))), *balanced, *fmt]
+    if command == "search":
+        mode = draw(st.sampled_from(SEARCH_MODES))
+        flags = draw(st.lists(st.sampled_from(SEARCH_FLAGS), max_size=2))
+        size = ["--sides", draw(SIDES), "--dice", draw(DICE)]
+        return ["search", *size, *mode, *[token for flag in flags for token in flag], *fmt]
+    if command == "realize":
+        spec = draw(st.sampled_from(TOURNAMENTS))
+        return ["realize", "--tournament", spec, "--sides", draw(SIDES), *fmt]
+    return draw(st.sampled_from(STRAY_ARGVS))
+
+
+@pytest.fixture(scope="module")
+def unreadable(tmp_path_factory):
+    root = tmp_path_factory.mktemp("unreadable")
+    (root / "dice.txt").write_bytes(b"\xff\xfe a: 1")
+    return {DIRECTORY: str(root), NON_UTF8: str(root / "dice.txt")}
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(argv=argvs(), stdin=STDIN)
+def test_any_argv_keeps_the_exit_contract(unreadable, argv, stdin):
+    argv = [unreadable.get(token, token) for token in argv]
+    out, err = io.StringIO(), io.StringIO()
+    returned = True
+    with redirect_stdout(out), redirect_stderr(err):
+        with mock.patch("sys.stdin", io.StringIO(stdin)):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse usage errors
+                code, returned = exc.code, False
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if returned and code == 2:
+        assert_usage_error(code, out, err)
+    if code == 0 and argv[0] in ("gen", "fib", "realize") and "json" in argv:
+        doc = json.loads(out)
+        assert doc["schema"] == DICE_SCHEMA
+        again = dice_document(parse_dice_input(out), doc["annotations"])
+        assert json.dumps(again, indent=2) + "\n" == out

@@ -282,6 +282,12 @@ def test_census_irreducible_matches_cut_check(n, m, count):
     assert enumerate_words(n, m, budget=budget).irreducible_bnt == walked == count
 
 
+@pytest.mark.parametrize("n,m", [(6, 3), (4, 4)])
+def test_is_irreducible_matches_cut_check(n, m):
+    for letters in balanced_nontransitive_words(n, m):
+        assert is_irreducible(Word(letters, m)) == irreducible_by_hand(letters, m), letters
+
+
 def test_census_n7_pinned():
     # Second routes: the closed form for the total, the face-sum partition
     # count for balanced, the slow BNT walk below for BNT and irreducible.
