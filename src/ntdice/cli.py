@@ -143,12 +143,17 @@ def _parse_rows(text: str) -> DiceSet:
 
 
 def _read_input(source: str) -> str:
-    """stdin for ``-``, the text of the file ``source`` names, else ``source``."""
+    """stdin for ``-``, the text of the file ``source`` names, else ``source``.
+
+    An existing path always wins over inline text, so a file named like a
+    word is read, not parsed as that word. stdin and files are decoded as
+    strict UTF-8 whatever the locale.
+    """
     if source != "-" and not os.path.exists(source):
         return source
     try:
         if source == "-":
-            return sys.stdin.read()
+            return sys.stdin.buffer.read().decode("utf-8")
         with open(source, encoding="utf-8") as handle:
             return handle.read()
     except (OSError, UnicodeDecodeError) as exc:
@@ -346,7 +351,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser(
         "verify", help="classify dice given as a file, JSON, rows, word, or - (stdin)"
     )
-    p_verify.add_argument("input", help="file path, '-' for stdin, or inline dice/word")
+    p_verify.add_argument(
+        "input",
+        help="file path, '-' for stdin, or inline dice/word; "
+        "an existing path is always read as a file",
+    )
     p_verify.add_argument("--format", choices=("text", "json"), default="text")
     p_verify.set_defaults(func=cmd_verify)
 

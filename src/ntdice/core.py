@@ -7,6 +7,12 @@ in increasing order, the letter of the die carrying that label, so relative
 die strength is encoded purely by letter positions. Every probability here
 is an exact pair of integers (wins out of ``n*n`` ordered rolls); floating
 point never enters.
+
+A finished word's cycle wins are counted in one place, ``_cycle_pass``: one
+left-to-right sweep in which placing a letter of die x adds the letters of
+die succ x placed so far to x's wins. ``cycle_beat_counts``,
+``balance_summary`` and ``search.is_irreducible`` read its states; a single
+pair is counted by bisect in ``beat_count``.
 """
 
 from __future__ import annotations
@@ -15,6 +21,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from math import gcd
+from typing import Iterator
 
 from .errors import (
     DuplicateLabel,
@@ -140,11 +147,12 @@ class WinOdds:
 
 @dataclass(frozen=True)
 class BalanceSummary:
-    """Per-die prior-occurrence sums and face-sums of a word, in one pass.
+    """Per-die prior-occurrence sums and face-sums of a word.
 
     For each die: ``qplus_sums`` totals prior letters of the die it beats
     around the cycle, ``qminus_sums`` prior letters of the die beating it,
-    ``qsame_sums`` prior letters of the same die.
+    ``qsame_sums`` prior letters of the same die. ``qplus_sums`` is the
+    cycle-win count of ``_cycle_pass``; the rest follow from it by identity.
     """
 
     m: int
@@ -260,28 +268,47 @@ def q_same(word: Word, position: int) -> int:
     return word.letters.count(ch, 0, position - 1)
 
 
-def balance_summary(word: Word) -> BalanceSummary:
-    """All per-die q-sums and face-sums of a word in a single pass."""
+def _cycle_pass(word: Word) -> Iterator[tuple[list[int], list[int]]]:
+    """The one sweep that counts a word's cycle wins.
+
+    Placing a letter of die x adds ``placed[succ x]`` to ``cyc[x]``: the new
+    label beats every label of the next die placed so far. Yields the live
+    ``(placed, cyc)`` lists before the first letter and after each block of
+    m letters, so the last state holds the final cycle wins, even for the
+    empty word. The search engines inline this step in their hot loops.
+    """
     m = word.m
-    counts = [0] * m
-    qplus = [0] * m
-    qminus = [0] * m
-    qsame = [0] * m
-    faces = [0] * m
-    for pos, ch in enumerate(word.letters, start=1):
-        x = ord(ch) - 97
-        qplus[x] += counts[(x + 1) % m]
-        qminus[x] += counts[(x - 1) % m]
-        qsame[x] += counts[x]
-        faces[x] += pos
-        counts[x] += 1
+    succ = [(x + 1) % m for x in range(m)]
+    placed = [0] * m
+    cyc = [0] * m
+    state = (placed, cyc)
+    yield state
+    letters = word.letters
+    for start in range(0, len(letters), m):
+        for ch in letters[start : start + m]:
+            x = ord(ch) - 97
+            cyc[x] += placed[succ[x]]
+            placed[x] += 1
+        yield state
+
+
+def balance_summary(word: Word) -> BalanceSummary:
+    """All per-die q-sums and face-sums of a word.
+
+    ``qplus_sums`` is the final state of ``_cycle_pass``; the rest are
+    identities. ``qminus[x]`` counts the rolls die x wins against pred x,
+    and labels are distinct, so it is ``n² - qplus[pred x]``. A die's own
+    letters see 0, 1, ..., n-1 earlier ones, so ``qsame = n(n-1)/2``.
+    """
+    m, n = word.m, word.n
+    *_, (_, qplus) = _cycle_pass(word)
     return BalanceSummary(
         m=m,
-        n=word.n,
+        n=n,
         qplus_sums=tuple(qplus),
-        qminus_sums=tuple(qminus),
-        qsame_sums=tuple(qsame),
-        face_sums=tuple(faces),
+        qminus_sums=tuple(n * n - qplus[x - 1] for x in range(m)),
+        qsame_sums=(n * (n - 1) // 2,) * m,
+        face_sums=face_sums(dice_of_word(word)),
     )
 
 
@@ -316,8 +343,8 @@ def face_sums(dice_set: DiceSet) -> tuple[int, ...]:
 
 def cycle_beat_counts(dice_set: DiceSet) -> tuple[int, ...]:
     """Win counts around the die cycle a>b, b>c, ..., last>a."""
-    m = dice_set.m
-    return tuple(beat_count(dice_set, i, (i + 1) % m) for i in range(m))
+    *_, (_, cyc) = _cycle_pass(word_of_dice(dice_set))
+    return tuple(cyc)
 
 
 def cycle_odds(dice_set: DiceSet) -> tuple[WinOdds, ...]:

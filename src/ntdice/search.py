@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterator
 
 from .construct import construct_balanced_nontransitive
-from .core import ALPHABET, DiceSet, Word, beat_count, dice_of_word
+from .core import ALPHABET, DiceSet, Word, _cycle_pass, beat_count, dice_of_word
 from .errors import (
     BudgetExceeded,
     ConstructionError,
@@ -142,25 +142,17 @@ def _cut_threshold(j: int, n: int, wins: int) -> int:
 def is_irreducible(word: Word) -> bool:
     """True when no cut splits the word into two balanced non-transitive words.
 
-    One pass: at each cut where every die has placed j letters with equal
-    cycle wins Wp and 2·Wp > j², the word would split once its final wins W
-    reach ``_cut_threshold(j, n, Wp)``; ``thr`` keeps the least of these.
+    One pass of ``core._cycle_pass``: at each cut where every die has placed
+    j letters with equal cycle wins Wp and 2·Wp > j², the word would split
+    once its final wins W reach ``_cut_threshold(j, n, Wp)``; ``thr`` keeps
+    the least of these.
     """
     m, n = word.m, word.n
-    succ = [(x + 1) % m for x in range(m)]
-    placed = [0] * m
-    cyc = [0] * m
     thr = n * n + 1
-    for depth, ch in enumerate(word.letters, start=1):
-        x = ord(ch) - 97
-        cyc[x] += placed[succ[x]]
-        placed[x] += 1
-        j, rest = divmod(depth, m)
-        if rest == 0 and j < n:
-            wins = cyc[0]
-            if 2 * wins > j * j and placed == [j] * m and cyc == [wins] * m:
-                thr = min(thr, _cut_threshold(j, n, wins))
-    wins = cyc[0]
+    for j, (placed, cyc) in enumerate(_cycle_pass(word)):
+        wins = cyc[0]
+        if j < n and 2 * wins > j * j and placed == [j] * m and cyc == [wins] * m:
+            thr = min(thr, _cut_threshold(j, n, wins))
     if cyc != [wins] * m or 2 * wins <= n * n:
         raise NotBalancedNontransitive(
             f"{word.letters!r} is not balanced non-transitive"
@@ -262,7 +254,7 @@ def _census_counts(n: int, m: int) -> tuple[int, int, int, int]:
             for x in range(m):
                 if state[x] == n:
                     continue
-                nxt = list(state)
+                nxt = list(state)  # the step of core._cycle_pass, inline
                 nxt[m + x] += state[succ[x]]
                 nxt[x] += 1
                 low, high = _interval_bounds(nxt, nxt[m : 2 * m], n, succ)
@@ -359,6 +351,7 @@ def balanced_nontransitive_words(
     placed = [0] * m
     cyc = [0] * m
 
+    # The step of ``core._cycle_pass`` and its inverse, inline for speed.
     def push(x: int) -> None:
         cyc[x] += placed[succ[x]]
         placed[x] += 1
@@ -455,6 +448,7 @@ def search_realization(
     placed = [0] * m
     wins = [[0] * m for _ in range(m)]
 
+    # The step of ``core._cycle_pass`` over every ordered pair, inline.
     def push(x: int) -> None:
         row = wins[x]
         for y in others[x]:

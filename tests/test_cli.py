@@ -19,11 +19,23 @@ CLASSIC_WORD = "acbbaccba"
 CLASSIC_ROWS = "a: 9 5 1\nb: 8 4 3\nc: 7 6 2"
 
 
+def ntdice_env(**extra):
+    """Environment for a ``python -m ntdice`` child that imports this tree."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path, **extra}
+
+
+def stdin_of(text):
+    """A text stream with a byte buffer underneath, as the real stdin has."""
+    return io.TextIOWrapper(io.BytesIO(text.encode()), encoding="utf-8")
+
+
 @pytest.fixture
 def run(capsys, monkeypatch):
     def invoke(argv, stdin=None):
         if stdin is not None:
-            monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+            monkeypatch.setattr("sys.stdin", stdin_of(stdin))
         try:
             code = main(argv)
         except SystemExit as exc:  # argparse usage errors
@@ -102,6 +114,29 @@ def test_verify_reads_file(run, tmp_path):
     path.write_text(CLASSIC_ROWS + "\n# a comment line\n")
     code, out, _ = run(["verify", str(path)])
     assert code == 0
+
+
+def test_existing_file_wins_over_inline_word(run, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert run(["verify", CLASSIC_WORD])[0] == 0
+    (tmp_path / CLASSIC_WORD).write_text("")
+    code, out, err = run(["verify", CLASSIC_WORD])
+    assert_usage_error(code, out, err)
+    assert err == "error: empty input\n"
+
+
+def test_non_utf8_stdin_is_usage_error_under_c_locale():
+    proc = subprocess.run(
+        [sys.executable, "-m", "ntdice", "verify", "-"],
+        input=b"\xff\xfe a: 1",
+        capture_output=True,
+        env=ntdice_env(LC_ALL="C"),
+        timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == b""
+    assert proc.stderr.startswith(b"error: cannot read stdin: ")
+    assert proc.stderr.count(b"\n") == 1
 
 
 def test_verify_json_output_is_canonical(run):
@@ -408,13 +443,11 @@ def test_unknown_format_is_usage_error(run):
 def test_closed_pipe_exits_quietly():
     # n=4 lists 34,650 words, far more than a pipe buffer holds, so the
     # writer meets the closed pipe mid-stream.
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.Popen(
         [sys.executable, "-m", "ntdice", "search", "--sides", "4", "--list"],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
-        env={**os.environ, "PYTHONPATH": path},
+        env=ntdice_env(),
     )
     assert proc.stdout.readline() == b"aaaabbbbcccc\n"
     proc.stdout.close()
@@ -507,7 +540,7 @@ def test_any_argv_keeps_the_exit_contract(unreadable, argv, stdin):
     out, err = io.StringIO(), io.StringIO()
     returned = True
     with redirect_stdout(out), redirect_stderr(err):
-        with mock.patch("sys.stdin", io.StringIO(stdin)):
+        with mock.patch("sys.stdin", stdin_of(stdin)):
             try:
                 code = main(argv)
             except SystemExit as exc:  # argparse usage errors

@@ -20,6 +20,7 @@ from ntdice import (
     WrongSideCount,
     balance_summary,
     beat_count,
+    cycle_beat_counts,
     cycle_odds,
     dice_of_word,
     face_sums,
@@ -273,6 +274,32 @@ def test_word_route_equals_set_route(d):
     summary = balance_summary(word_of_dice(d))
     for x in range(d.m):
         assert summary.qplus_sums[x] == beat_count(d, x, (x + 1) % d.m)
+
+
+@given(dice_sets(ms=(2, 3, 4, 5, 6)))
+def test_cycle_pass_equals_pair_counts(d):
+    assert cycle_beat_counts(d) == tuple(
+        beat_count(d, x, (x + 1) % d.m) for x in range(d.m)
+    )
+
+
+@given(words(ms=(2, 3, 4, 5)))
+def test_balance_summary_equals_positional_sums(w):
+    # q_plus/q_minus/q_same count with str.count, independent of the pass
+    # and of the identities balance_summary derives qminus and qsame from.
+    s = balance_summary(w)
+    routes = ((q_plus, s.qplus_sums), (q_minus, s.qminus_sums), (q_same, s.qsame_sums))
+    for q, sums in routes:
+        by_die = [0] * w.m
+        for i, ch in enumerate(w.letters, start=1):
+            by_die[ord(ch) - 97] += q(w, i)
+        assert tuple(by_die) == sums
+
+
+def test_balance_summary_of_empty_word():
+    s = balance_summary(Word.empty(3))
+    assert (s.m, s.n) == (3, 0)
+    assert s.qplus_sums == s.qminus_sums == s.qsame_sums == s.face_sums == (0, 0, 0)
 
 
 @given(words(ms=(3,)))

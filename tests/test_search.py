@@ -362,6 +362,12 @@ def test_is_irreducible_requires_bnt():
         is_irreducible(Word.from_string("abcabc"))
 
 
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_is_irreducible_rejects_empty_word(m):
+    with pytest.raises(NotBalancedNontransitive):
+        is_irreducible(Word.empty(m))
+
+
 @given(st.sampled_from(BNT3), st.sampled_from(BNT3))
 @settings(max_examples=36)
 def test_concatenations_of_bnt_words_are_reducible(s, t):
