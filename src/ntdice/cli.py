@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 
 from .core import (
@@ -50,6 +51,10 @@ CENSUS_SCHEMA = "dice-census/1"
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
+
+# A row label: ASCII digits with an optional sign. int() alone also takes
+# underscores ('1_0') and non-ASCII digits ('١').
+_LABEL = re.compile(r"[+-]?[0-9]+")
 
 
 class InputError(DiceError):
@@ -101,7 +106,14 @@ def _parse_document(text: str) -> DiceSet:
             raise InputError(f"die {ch!r} must be a label array, got {json.dumps(row)}")
     result = validate_dice(rows)
     for field in ("m", "n"):
-        if field in doc and doc[field] != getattr(result, field):
+        if field not in doc:
+            continue
+        if type(doc[field]) is not int:  # not 3.0, not true
+            raise InputError(
+                f"document field {field!r} must be an integer, "
+                f"got {json.dumps(doc[field])}"
+            )
+        if doc[field] != getattr(result, field):
             raise InputError(
                 f"document field {field!r} is {doc[field]}, "
                 f"but the dice imply {getattr(result, field)}"
@@ -128,7 +140,9 @@ def _parse_rows(text: str) -> DiceSet:
             labels = []
             for token in tail.split():
                 try:
-                    labels.append(int(token))
+                    if not _LABEL.fullmatch(token):
+                        raise ValueError(token)
+                    labels.append(int(token))  # ValueError past 4,300 digits
                 except ValueError:
                     raise InputError(
                         f"line {lineno}: bad label {token!r} on die {letter!r}"

@@ -6,7 +6,10 @@ so a layered transfer-matrix DP over (letters placed, cycle wins) per die
 counts those classes. Whether a balanced non-transitive word is irreducible
 depends only on that vector and on the cycle wins at each cut where every
 die has placed the same number of letters, so the same DP, carrying one
-threshold per state, counts the irreducible words too. Listing words, the
+threshold per state, counts the irreducible words too. Rotating the letters
+(x -> succ x) maps the cycle of dice onto itself, so each DP layer keeps
+one state per rotation orbit with the orbit's total prefix count, about m
+times fewer states than one per rotation. Listing words, the
 balanced non-transitive scan and realization search share one iterative
 backtracker that visits words in lexicographic order and prunes with sound
 bounds: cycle-win intervals for the scan, per-pair win bounds for
@@ -219,10 +222,10 @@ def iter_words(n: int, m: int = 3, budget: int = DEFAULT_BUDGET) -> Iterator[str
 def _census_counts(n: int, m: int) -> tuple[int, int, int, int]:
     """(balanced, non-transitive, balanced non-transitive, irreducible) counts.
 
-    A layered transfer-matrix DP: layer d maps each state (letters placed,
-    cycle wins) per die, plus ``thr``, to the number of length-d prefixes
-    reaching it. Placing a letter of die x adds placed[succ x] to cyc[x] and
-    depends on nothing else, so prefixes that share a state share their
+    A layered transfer-matrix DP over states (placed[x], cyc[x]) per die x,
+    kept as the flat pairs placed[0], cyc[0], ..., placed[m-1], cyc[m-1],
+    plus ``thr``. Placing a letter of die x adds placed[succ x] to cyc[x]
+    and depends on nothing else, so prefixes that share a state share their
     completions. A state is dropped once its cycle-win intervals
     (``_interval_bounds``) show it can end neither balanced nor
     non-transitive, which is why the total comes from the closed form.
@@ -232,50 +235,66 @@ def _census_counts(n: int, m: int) -> tuple[int, int, int, int]:
     every die has placed j letters and the prefix is balanced non-transitive
     with wins Wp, drops to ``_cut_threshold(j, n, Wp)`` if that is lower. A
     balanced non-transitive word is irreducible when its final wins W < thr.
+
+    Each layer keeps one state per orbit of the letter rotation
+    rho: x -> succ x, keyed by the least rotation of its pairs, and stores
+    the orbit's total mass: the number of prefixes that reach any of its
+    states. The step commutes with rotation, step(rho s, rho x) =
+    rho step(s, x), so the states of one orbit are reached equally often and
+    the successors of a rotated state are the rotated successors. Stepping
+    the representative alone by every letter, carrying the orbit's total
+    mass, therefore adds exactly the right mass to each successor orbit.
+    The prune, the cut rule and the final tests see only rotation-invariant
+    facts (extremes over all dice, all dice equal), and no mass is ever
+    divided by an orbit's size, so orbits shorter than m (the start state,
+    balanced cuts, periodic states when m is composite) need no special
+    case.
     """
     nsq = n * n
     need = nsq // 2 + 1
+    width = 2 * m
     succ = [(x + 1) % m for x in range(m)]
-    layer = {(0,) * (2 * m) + (nsq + 1,): 1}
+    layer = {(0,) * width + (nsq + 1,): 1}
     for depth in range(m * n):
         j = depth // m
         cut = j and depth == m * j
-        placed = (j,) * m
         following: dict[tuple[int, ...], int] = {}
-        for state, ways in layer.items():
-            wins = state[m]
-            if (
-                cut
-                and 2 * wins > j * j
-                and state[:m] == placed
-                and state[m : 2 * m] == (wins,) * m
-            ):
-                state = state[:-1] + (min(state[-1], _cut_threshold(j, n, wins)),)
-            for x in range(m):
-                if state[x] == n:
+        for state, mass in layer.items():
+            thr = state[width]
+            wins = state[1]
+            if cut and 2 * wins > j * j and state[:width] == (j, wins) * m:
+                thr = min(thr, _cut_threshold(j, n, wins))
+            for at in range(0, width, 2):  # the pair of die at // 2
+                if state[at] == n:
                     continue
-                nxt = list(state)  # the step of core._cycle_pass, inline
-                nxt[m + x] += state[succ[x]]
-                nxt[x] += 1
-                low, high = _interval_bounds(nxt, nxt[m : 2 * m], n, succ)
+                nxt = list(state[:width])  # the step of core._cycle_pass, inline
+                nxt[at + 1] += state[(at + 2) % width]
+                nxt[at] += 1
+                low, high = _interval_bounds(nxt[::2], nxt[1::2], n, succ)
                 if low > high and high < need:
                     continue
-                key = tuple(nxt)
-                following[key] = following.get(key, 0) + ways
+                pairs = tuple(nxt)
+                key = pairs
+                for k in range(2, width, 2):
+                    turned = pairs[k:] + pairs[:k]
+                    if turned < key:
+                        key = turned
+                key += (thr,)
+                following[key] = following.get(key, 0) + mass
         layer = following
     balanced = nontransitive = bnt = irreducible = 0
-    for state, ways in layer.items():
-        cyc = state[m : 2 * m]
+    for state, mass in layer.items():
+        cyc = state[1:width:2]
         low = min(cyc)
         is_balanced = low == max(cyc)
         if 2 * low > nsq:
-            nontransitive += ways
+            nontransitive += mass
             if is_balanced:
-                bnt += ways
+                bnt += mass
                 if low < state[-1]:
-                    irreducible += ways
+                    irreducible += mass
         if is_balanced:
-            balanced += ways
+            balanced += mass
     return balanced, nontransitive, bnt, irreducible
 
 

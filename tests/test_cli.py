@@ -206,6 +206,37 @@ def test_verify_unloadable_json_is_usage_error(run, labels):
     assert_usage_error(*run(["verify", doc]))
 
 
+
+@pytest.mark.parametrize(
+    "text,token",
+    [
+        ("a: 1_0 / b: 2", "1_0"),
+        ("a: \u0661 / b: 2", "\u0661"),  # ARABIC-INDIC DIGIT ONE
+        ("a: 1 / b: \uff12", "\uff12"),  # FULLWIDTH DIGIT TWO
+        ("a: 1 / b: " + "2" * 5000, "2" * 5000),
+    ],
+    ids=["underscore", "arabic-indic", "fullwidth", "long"],
+)
+def test_verify_row_labels_are_ascii_integers(run, text, token):
+    code, out, err = run(["verify", text])
+    assert_usage_error(code, out, err)
+    assert f"bad label {token!r}" in err
+
+
+@pytest.mark.parametrize(
+    "field,value", [("m", "2.0"), ("n", "1.0"), ("n", "true"), ("m", '"2"')]
+)
+def test_verify_document_sizes_are_json_integers(run, field, value):
+    doc = '{"schema":"dice-set/1","%s":%s,"dice":{"a":[1],"b":[2]}}' % (field, value)
+    code, out, err = run(["verify", doc])
+    assert_usage_error(code, out, err)
+    assert f"document field {field!r} must be an integer, got {value}" in err
+
+
+def test_verify_document_with_integer_sizes_still_parses(run):
+    doc = '{"schema":"dice-set/1","m":2,"n":1,"dice":{"a":[1],"b":[2]}}'
+    assert run(["verify", doc])[0] == 1
+
 # -- gen -------------------------------------------------------------------------
 
 def test_gen_three_sides_is_the_classic_example(run):
@@ -555,3 +586,111 @@ def test_any_argv_keeps_the_exit_contract(unreadable, argv, stdin):
         assert doc["schema"] == DICE_SCHEMA
         again = dice_document(parse_dice_input(out), doc["annotations"])
         assert json.dumps(again, indent=2) + "\n" == out
+
+
+# -- free-form verify input ------------------------------------------------------------
+
+# ASCII digits, then Arabic-Indic, extended Arabic-Indic, Devanagari,
+# fullwidth and mathematical bold digits, which int() would also read.
+DIGITS = "0123456789١۳१２\U0001d7cf"
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 30)
+    | st.floats()
+    | st.text(alphabet=DIGITS + "abc-_ ", max_size=4),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(["a", "b", "m", "n", "dice", "schema"]), inner, max_size=4),
+    max_leaves=12,
+)
+TOKENS = st.sampled_from(["0", "-1", "+4", "07", "1_0", "x", "2.0", "9" * 5000]) | st.text(
+    alphabet=DIGITS, min_size=1, max_size=3
+)
+
+
+@st.composite
+def label_rows(draw):
+    """Label rows of the classic set, or of any dice set with 2..4 dice of 1..3 sides."""
+    if draw(st.booleans()):
+        return [[9, 5, 1], [8, 4, 3], [7, 6, 2]]
+    m, n = draw(st.integers(2, 4)), draw(st.integers(1, 3))
+    labels = draw(st.permutations(range(1, m * n + 1)))
+    return [list(labels[x * n : (x + 1) * n]) for x in range(m)]
+
+
+@st.composite
+def documents(draw):
+    """A valid ``dice-set/1`` document, or one with a field, die or label spoiled."""
+    dice = draw(label_rows())
+    doc = {"schema": DICE_SCHEMA, "m": len(dice), "n": len(dice[0])}
+    doc["dice"] = {chr(97 + x): row for x, row in enumerate(dice)}
+    spoil = draw(st.sampled_from(["none", "schema", "m", "n", "dice", "die", "label", "drop"]))
+    if spoil in ("schema", "m", "n", "dice"):
+        doc[spoil] = draw(JSON_VALUES)
+    elif spoil == "die":
+        doc["dice"][draw(st.sampled_from("abz"))] = draw(JSON_VALUES)
+    elif spoil == "label":
+        dice[0][0] = draw(JSON_VALUES)
+    elif spoil == "drop":
+        del doc[draw(st.sampled_from(["schema", "m", "n", "dice"]))]
+    return json.dumps(doc)
+
+
+@st.composite
+def rows(draw):
+    """``a: 9 5 1`` rows over newlines or slashes, or with one token spoiled."""
+    tokens = [[chr(97 + x) + ":", *map(str, row)] for x, row in enumerate(draw(label_rows()))]
+    if draw(st.booleans()):
+        row = draw(st.sampled_from(tokens))
+        row[draw(st.integers(0, len(row) - 1))] = draw(
+            TOKENS | st.sampled_from(["A:", "ab:", ":", "é:", "#"])
+        )
+    glue = draw(st.sampled_from(["\n", " / ", "/", "\n# note\n"]))
+    return glue.join(" ".join(row) for row in tokens)
+
+
+@st.composite
+def words(draw):
+    """A word with n of each of 2..4 letters, or with one letter spoiled."""
+    m, n = draw(st.integers(2, 4)), draw(st.integers(1, 3))
+    letters = draw(
+        st.just(list("acbbaccba"))
+        | st.permutations([chr(97 + x) for x in range(m)] * n)
+    )
+    if draw(st.booleans()):
+        letters[draw(st.integers(0, len(letters) - 1))] = draw(st.sampled_from("aeA1 а"))
+    return "".join(letters)
+
+
+NESTED = st.builds(
+    lambda opened, closed, inside: "[" * opened + inside + "]" * closed,
+    st.integers(0, 2000),
+    st.integers(0, 2000),
+    st.sampled_from(["", "1", "1, 2", '"a"']),
+)
+FREE_TEXT = st.text(alphabet=st.characters(blacklist_categories=("Cs",)), max_size=30)
+PIECES = documents() | rows() | words() | NESTED | FREE_TEXT | JSON_VALUES.map(json.dumps)
+MIXED = st.builds(
+    str.join, st.sampled_from(["\n", " ", ":", "{"]), st.lists(PIECES, min_size=2, max_size=3)
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(
+    text=PIECES | MIXED,
+    via_stdin=st.booleans(),
+    fmt=st.sampled_from([[], ["--format", "json"]]),
+)
+def test_any_verify_input_keeps_the_exit_contract(text, via_stdin, fmt):
+    argv = ["verify", *fmt, "--", "-" if via_stdin else text]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        with mock.patch("sys.stdin", stdin_of(text)):
+            code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code == 2:
+        assert_usage_error(code, out, err)
+    else:
+        assert err == ""

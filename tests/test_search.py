@@ -213,6 +213,45 @@ def test_census_matches_brute_force(n, m):
     assert got == brute_census(n, m)
 
 
+def plain_dp_census(n: int, m: int) -> tuple[int, int, int]:
+    """(balanced, non-transitive, BNT) from a layered DP over every state
+    (letters placed per die, cycle wins per die), written here: it keeps
+    each rotation of a state apart and prunes nothing."""
+    nsq = n * n
+    layer = {(0,) * (2 * m): 1}
+    for _ in range(m * n):
+        following: dict[tuple[int, ...], int] = {}
+        for state, ways in layer.items():
+            for x in range(m):
+                if state[x] == n:
+                    continue
+                nxt = list(state)
+                nxt[m + x] += state[(x + 1) % m]
+                nxt[x] += 1
+                key = tuple(nxt)
+                following[key] = following.get(key, 0) + ways
+        layer = following
+    balanced = nontransitive = bnt = 0
+    for state, ways in layer.items():
+        low, high = min(state[m:]), max(state[m:])
+        balanced += ways * (low == high)
+        nontransitive += ways * (2 * low > nsq)
+        bnt += ways * (low == high and 2 * low > nsq)
+    return balanced, nontransitive, bnt
+
+
+# Past the brute-force limit; at m = 4 and 6 some states repeat under a
+# shorter rotation than m, so their orbits have fewer than m members.
+@pytest.mark.parametrize(
+    "n,m",
+    [(6, 3), (2, 6), pytest.param(4, 4, marks=pytest.mark.slow), pytest.param(3, 5, marks=pytest.mark.slow)],
+)
+def test_census_matches_plain_dp(n, m):
+    c = enumerate_words(n, m, budget=word_count(n, m))
+    got = (c.balanced, c.nontransitive, c.balanced_nontransitive)
+    assert got == plain_dp_census(n, m)
+
+
 def equal_face_sum_partitions(n: int) -> int:
     """Ordered splits of 1..3n into three n-label dice with equal face-sums,
     counted by a DP over labels that never looks at a word."""
