@@ -9,6 +9,8 @@ with a ``display`` string, never floats.
 ``main`` is the one error boundary. Commands and parsers raise; ``main``
 turns any ``DiceError`` (``InputError`` included) into one ``error:`` line
 on stderr and exit 2, and a reader closing the pipe into a quiet exit 0.
+A message that echoes a long input is cut to 200 characters, ending in …,
+so the line stays readable.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from .core import (
 from .construct import construct_balanced_nontransitive, fibonacci_balanced, fibonacci_savage
 from .errors import DiceError, MalformedWord
 from .search import (
+    DEFAULT_BUDGET,
     Tournament,
     balanced_nontransitive_words,
     enumerate_words,
@@ -51,6 +54,10 @@ CENSUS_SCHEMA = "dice-census/1"
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
+
+# Longest error message printed whole. Longer ones come from echoing a long
+# input; they are cut to this width, ending in an ellipsis.
+_ERROR_WIDTH = 200
 
 # A row label: ASCII digits with an optional sign. int() alone also takes
 # underscores ('1_0') and non-ASCII digits ('١').
@@ -336,8 +343,8 @@ def cmd_realize(args: argparse.Namespace) -> int:
         print("none")
         return EXIT_NEGATIVE
     # Both routes guarantee the result realizes the tournament: realize_k3
-    # checks it, and search_realization takes only words where every
-    # required win passes n²/2, so each reverse direction loses.
+    # checks it, and the search walker yields only words its per-pair test
+    # accepts, which at a full word is the tournament itself.
     pairwise = [
         {
             "pair": f"{ALPHABET[i]}>{ALPHABET[j]}",
@@ -398,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="with --list: only irreducible balanced non-transitive words",
     )
-    p_search.add_argument("--budget", type=int, default=10 ** 8)
+    p_search.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p_search.add_argument(
         "--jobs",
         type=int,
@@ -413,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--tournament", required=True, help="directed pairs, e.g. '1>2,2>3,3>1'"
     )
     p_realize.add_argument("--sides", type=int, required=True)
-    p_realize.add_argument("--budget", type=int, default=10 ** 8)
+    p_realize.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p_realize.add_argument("--format", choices=("text", "json"), default="text")
     p_realize.set_defaults(func=cmd_realize)
 
@@ -425,7 +432,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except DiceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        message = str(exc)
+        if len(message) > _ERROR_WIDTH:
+            message = message[: _ERROR_WIDTH - 1] + "…"
+        print(f"error: {message}", file=sys.stderr)
         return EXIT_USAGE
     except BrokenPipeError:
         # The reader has gone; what was written is correct. Point stdout at

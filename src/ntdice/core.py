@@ -125,13 +125,6 @@ class WinOdds:
     def display(self) -> str:
         return f"{self.wins}/{self.trials}"
 
-    def is_majority(self) -> bool:
-        """Strictly more than half of all rolls won."""
-        return 2 * self.wins > self.trials
-
-    def is_fair(self) -> bool:
-        return 2 * self.wins == self.trials
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, WinOdds):
             return NotImplemented

@@ -11,10 +11,12 @@ threshold per state, counts the irreducible words too. Rotating the letters
 one state per rotation orbit with the orbit's total prefix count, about m
 times fewer states than one per rotation. Listing words, the
 balanced non-transitive scan and realization search share one iterative
-backtracker that visits words in lexicographic order and prunes with sound
-bounds: cycle-win intervals for the scan, per-pair win bounds for
-realizations. Nothing runs in parallel, so results never depend on
-``jobs``, which is accepted and ignored.
+backtracker that visits words in lexicographic order. Each caller gives it
+one test, asked after every placement: it prunes inner nodes with sound
+bounds (cycle-win intervals for the scan, per-pair win bounds for
+realizations) and, with nothing left to place, is exact, so it also
+decides which full words are yielded. Nothing runs in parallel, so results
+never depend on ``jobs``, which is accepted and ignored.
 """
 
 from __future__ import annotations
@@ -173,8 +175,10 @@ def _backtrack(
     """Walk every word with n of each of m letters in lexicographic order.
 
     ``push(x)`` appends letter x and ``pop(x)`` takes it back; ``dead(x)``
-    is asked after each placement short of a full word and cuts the subtree
-    when true. Each full word reaches the caller as the walker's own
+    is asked after every placement, the one that completes a word included.
+    A true answer cuts the subtree below an inner node and drops a full
+    word, so ``dead`` is the one leaf rule: only full words where it is
+    false are yielded. Each reaches the caller as the walker's own
     letter-id list, with the caller's state still at that leaf; the list is
     valid until the walk resumes.
     """
@@ -199,11 +203,12 @@ def _backtrack(
         remaining[letter] -= 1
         push(letter)
         depth += 1
-        if depth == mn:
-            yield word
-        elif not dead(letter):
-            letter = 0
-            continue
+        if not dead(letter):
+            if depth == mn:
+                yield word
+            else:
+                letter = 0
+                continue
         depth -= 1
         remaining[letter] += 1
         pop(letter)
@@ -323,23 +328,16 @@ def _interval_bounds(
 
 
 def enumerate_words(
-    n: int,
-    m: int = 3,
-    visitor: Callable[[Word], None] | None = None,
-    budget: int = DEFAULT_BUDGET,
-    jobs: int = 1,
+    n: int, m: int = 3, budget: int = DEFAULT_BUDGET, jobs: int = 1
 ) -> Census:
-    """Census of every valid word; a visitor sees each one lexicographically.
+    """Census of every valid word.
 
-    No word is listed to count it: the total is the closed form and the
+    No word is walked to count it: the total is the closed form and the
     balanced, non-transitive, balanced non-transitive and irreducible
     counts all come from the DP in ``_census_counts``. ``jobs`` is accepted
     for compatibility and ignored.
     """
     total = _check_budget(n, m, budget)
-    if visitor is not None:
-        for letters in iter_words(n, m, budget):
-            visitor(Word(letters, m))
     balanced, nontransitive, bnt, irreducible = _census_counts(n, m)
     return Census(
         n=n,
@@ -362,7 +360,9 @@ def balanced_nontransitive_words(
     dice the balance half of this bound is exactly the face-sum
     reachability cut (die x's extreme face-sums are the ends of the
     intervals of x and of its predecessor), so no separate face-sum test is
-    needed.
+    needed. At a full word nothing is left to place, every interval is the
+    die's final cycle-win count, and the same test passes exactly the
+    balanced non-transitive words, so the walk yields nothing else.
     """
     _check_budget(n, m, budget)
     need = n * n // 2 + 1
@@ -386,7 +386,6 @@ def balanced_nontransitive_words(
     return (
         "".join([ALPHABET[x] for x in word])
         for word in _backtrack(n, m, push, pop, dead)
-        if not dead(0)
     )
 
 
@@ -454,7 +453,10 @@ def search_realization(
     Backtracking over words with two sound bounds per pair: wins against a
     required-loss opponent may never pass (n*n - 1) // 2, and wins toward a
     required win must still be reachable with at most n new wins per future
-    placement.
+    placement. A die's row of wins changes only when it places a letter, and
+    after its last letter the bounds have no slack left and test the row
+    exactly, so every word the walk yields realizes the tournament and the
+    first one is the answer.
     """
     m = tournament.m
     _check_budget(n, m, budget)
@@ -492,12 +494,5 @@ def search_realization(
         return False
 
     for word in _backtrack(n, m, push, pop, dead):
-        if all(
-            wins[x][y] >= need
-            for x in range(m)
-            for y in others[x]
-            if must_beat[x][y]
-        ):
-            letters = "".join([ALPHABET[x] for x in word])
-            return dice_of_word(Word(letters, m))
+        return dice_of_word(Word("".join([ALPHABET[x] for x in word]), m))
     return None

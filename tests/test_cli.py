@@ -208,19 +208,20 @@ def test_verify_unloadable_json_is_usage_error(run, labels):
 
 
 @pytest.mark.parametrize(
-    "text,token",
+    "text,expected",
     [
-        ("a: 1_0 / b: 2", "1_0"),
-        ("a: \u0661 / b: 2", "\u0661"),  # ARABIC-INDIC DIGIT ONE
-        ("a: 1 / b: \uff12", "\uff12"),  # FULLWIDTH DIGIT TWO
-        ("a: 1 / b: " + "2" * 5000, "2" * 5000),
+        ("a: 1_0 / b: 2", "bad label '1_0'"),
+        ("a: \u0661 / b: 2", "bad label '\u0661'"),  # ARABIC-INDIC DIGIT ONE
+        ("a: 1 / b: \uff12", "bad label '\uff12'"),  # FULLWIDTH DIGIT TWO
+        # The 5,000-digit token is echoed clipped: the whole line is expected.
+        ("a: 1 / b: " + "2" * 5000, "error: line 1: bad label '" + "2" * 180 + "\u2026\n"),
     ],
     ids=["underscore", "arabic-indic", "fullwidth", "long"],
 )
-def test_verify_row_labels_are_ascii_integers(run, text, token):
+def test_verify_row_labels_are_ascii_integers(run, text, expected):
     code, out, err = run(["verify", text])
     assert_usage_error(code, out, err)
-    assert f"bad label {token!r}" in err
+    assert expected in err
 
 
 @pytest.mark.parametrize(
@@ -236,6 +237,32 @@ def test_verify_document_sizes_are_json_integers(run, field, value):
 def test_verify_document_with_integer_sizes_still_parses(run):
     doc = '{"schema":"dice-set/1","m":2,"n":1,"dice":{"a":[1],"b":[2]}}'
     assert run(["verify", doc])[0] == 1
+
+
+@pytest.mark.parametrize(
+    "argv,start",
+    [
+        (["verify", "[" * 2000 + ": 1"], "error: line 1: bad die name '[[[["),
+        (
+            ["realize", "--tournament", "q" * 3000, "--sides", "2"],
+            "error: cannot parse edge 'qqqq",
+        ),
+    ],
+    ids=["die-name", "tournament"],
+)
+def test_long_error_lines_are_clipped(run, argv, start):
+    code, out, err = run(argv)
+    assert_usage_error(code, out, err)
+    line = err.rstrip("\n")
+    assert line.startswith(start) and line.endswith("\u2026")
+    assert len(line) == 200 + len("error: ")
+
+
+def test_longest_real_error_message_is_printed_whole(run):
+    code, out, err = run(["fib", "--k", "6", "--balanced"])
+    assert_usage_error(code, out, err)
+    assert err.rstrip("\n").endswith("got k=6")
+    assert "\u2026" not in err
 
 # -- gen -------------------------------------------------------------------------
 

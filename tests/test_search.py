@@ -1,5 +1,7 @@
 """Enumeration, census, irreducibility, and tournament realization."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -130,14 +132,6 @@ def test_census_count_ordering_invariant(n, m):
         <= c.total_words
         == word_count(n, m)
     )
-
-
-def test_census_visitor_sees_the_full_stream():
-    seen = []
-    census = enumerate_words(3, 3, visitor=lambda w: seen.append(w.letters))
-    assert len(seen) == census.total_words == 1680
-    assert seen == list(iter_words(3, 3))
-    assert census_tuple(census) == ORACLE_CENSUS[(3, 3)]
 
 
 @pytest.mark.parametrize("jobs", [2, 3])
@@ -528,6 +522,21 @@ def test_search_realization_exhausts_without_witness():
     # one-sided dice are totally ordered, so no cyclic component is realizable
     t = Tournament.from_text("1>2,2>3,3>1,1>4,2>4,3>4")
     assert search_realization(t, 1) is None
+
+
+def test_search_realization_matches_oracle():
+    # Every 4-vertex tournament at n = 1 and 2: the walker's leaf rule must
+    # give the oracle's first realizing word, or None exactly when it does.
+    pairs = list(itertools.combinations(range(4), 2))
+    mismatches = []
+    for n in (1, 2):
+        for flips in itertools.product((False, True), repeat=len(pairs)):
+            edges = frozenset((j, i) if f else (i, j) for (i, j), f in zip(pairs, flips))
+            found = search_realization(Tournament.from_edges(4, edges), n)
+            got = None if found is None else word_of_dice(found).letters
+            if got != oracle.first_realization(edges, n, 4):
+                mismatches.append((n, sorted(edges), got))
+    assert mismatches == []
 
 
 def test_search_realization_budget():
