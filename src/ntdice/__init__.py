@@ -58,6 +58,7 @@ from .errors import (
     SameDie,
     SearchSizeError,
     SidesTooSmall,
+    TooManyDice,
     TournamentSpecError,
     WrongSideCount,
 )

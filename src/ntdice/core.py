@@ -13,15 +13,23 @@ left-to-right sweep in which placing a letter of die x adds the letters of
 die succ x placed so far to x's wins. ``cycle_beat_counts``,
 ``balance_summary`` and ``search.is_irreducible`` read its states; a single
 pair is counted by bisect in ``beat_count``.
+
+The value records here and in ``search`` are plain classes on ``_Record``,
+not frozen data classes. Every CLI command is a fresh process that imports
+the whole package, and its work is often a few milliseconds. Under
+``python -X importtime`` (Python 3.11, 2 cores, no cached bytecode),
+``import ntdice.cli`` took 55-60 ms with data classes: 12.4 ms for the
+standard library's data-class module and the ``inspect`` it loads, and
+1.2-2.2 ms to build each of the seven classes. With ``_Record`` it takes
+about 36 ms, and records are built as fast as before.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from collections.abc import Iterator
 from enum import Enum
 from math import gcd
-from typing import Iterator
 
 from .errors import (
     DuplicateLabel,
@@ -31,14 +39,66 @@ from .errors import (
     MalformedWord,
     PositionOutOfRange,
     SameDie,
+    TooManyDice,
     WrongSideCount,
 )
 
 ALPHABET = "abcdefghijklmnopqrstuvwxyz"
 
 
-@dataclass(frozen=True)
-class Word:
+class _Record:
+    """Base of the immutable value records, in place of frozen data classes.
+
+    A subclass lists its fields as annotations, in order; a class-level
+    value is that field's default, and every default follows every required
+    field. The subclass gets an ``__init__`` with those parameters (which
+    calls ``__post_init__`` when the class has one), value equality only
+    with instances of the same class, a hash over the field values, and
+    the data-class ``repr`` text. Setting or deleting an attribute raises
+    ``AttributeError``. The fields live in the instance ``__dict__``, so
+    ``copy`` and ``pickle`` work unchanged.
+    """
+
+    def __init_subclass__(cls) -> None:
+        names = tuple(cls.__dict__.get("__annotations__", ()))
+        defaults = tuple(cls.__dict__[x] for x in names if x in cls.__dict__)
+        for x in names[: len(names) - len(defaults)]:
+            if x in cls.__dict__:
+                raise TypeError(f"field {x!r} has a default but a later field has none")
+        # Generated source, as data classes do: named parameters and one dict
+        # store per field cost what a hand-written __init__ does, half of a
+        # generic *args one, and the scan builds thousands of records.
+        lines = [f"def __init__(self, {', '.join(names)}):", "    __d = self.__dict__"]
+        lines += [f"    __d[{x!r}] = {x}" for x in names]
+        if hasattr(cls, "__post_init__"):
+            lines.append("    self.__post_init__()")
+        namespace: dict = {}
+        exec("\n".join(lines), namespace)
+        init = namespace["__init__"]
+        init.__defaults__ = defaults
+        init.__qualname__ = f"{cls.__qualname__}.__init__"
+        cls.__init__ = init
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.__dict__ == other.__dict__
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self.__dict__.values()))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in self.__dict__.items())
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Word(_Record):
     """A sequence over the first ``m`` letters, each appearing ``n`` times.
 
     Direct construction is trusted; ``from_string`` validates.
@@ -86,8 +146,7 @@ class Word:
         return self.letters
 
 
-@dataclass(frozen=True)
-class DiceSet:
+class DiceSet(_Record):
     """``m`` disjoint ``n``-sets of labels partitioning ``{1..m*n}``.
 
     Labels within a die are stored strictly descending; dice are indexed
@@ -106,8 +165,7 @@ class DiceSet:
         return len(self.dice[0])
 
 
-@dataclass(frozen=True, eq=False)
-class WinOdds:
+class WinOdds(_Record):
     """Exact win count out of ``trials`` ordered rolls; never a float.
 
     Equality is cross-multiplicative (5/9 == 10/18) but the raw counts are
@@ -138,8 +196,7 @@ class WinOdds:
         return self.display
 
 
-@dataclass(frozen=True)
-class BalanceSummary:
+class BalanceSummary(_Record):
     """Per-die prior-occurrence sums and face-sums of a word.
 
     For each die: ``qplus_sums`` totals prior letters of the die it beats
@@ -163,8 +220,7 @@ class Classification(Enum):
     UNBALANCED = "unbalanced"
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(_Record):
     """Outcome of ``verify``.
 
     ``suggested_relabeling`` is present exactly for BALANCED_REVERSE and
@@ -185,6 +241,8 @@ def validate_dice(rows) -> DiceSet:
     m = len(dice)
     if m < 2:
         raise FewerThanTwoDice(f"need at least 2 dice, got {m}")
+    if m > len(ALPHABET):
+        raise TooManyDice(f"at most {len(ALPHABET)} dice, got {m}")
     n = len(dice[0])
     for i, row in enumerate(dice):
         if len(row) != len(dice[0]):

@@ -23,6 +23,10 @@ class FewerThanTwoDice(DiceError):
     """A dice set needs at least two dice."""
 
 
+class TooManyDice(DiceError):
+    """A dice set has at most 26 dice, one per letter a..z."""
+
+
 class MalformedWord(DiceError):
     """A letter sequence is not a valid word (bad letter or uneven counts)."""
 

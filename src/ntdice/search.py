@@ -22,11 +22,10 @@ never depend on ``jobs``, which is accepted and ignored.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Iterator
+from collections.abc import Callable, Iterator
 
 from .construct import construct_balanced_nontransitive
-from .core import ALPHABET, DiceSet, Word, _cycle_pass, beat_count, dice_of_word
+from .core import ALPHABET, DiceSet, Word, _Record, _cycle_pass, beat_count, dice_of_word
 from .errors import (
     BudgetExceeded,
     ConstructionError,
@@ -39,8 +38,7 @@ from .errors import (
 DEFAULT_BUDGET = 10 ** 8
 
 
-@dataclass(frozen=True)
-class Census:
+class Census(_Record):
     """Aggregate counts over every word of one size."""
 
     n: int
@@ -52,8 +50,7 @@ class Census:
     irreducible_bnt: int
 
 
-@dataclass(frozen=True)
-class Tournament:
+class Tournament(_Record):
     """An orientation of the complete graph: (i, j) in edges means i beats j."""
 
     m: int

@@ -125,6 +125,22 @@ def test_existing_file_wins_over_inline_word(run, tmp_path, monkeypatch):
     assert err == "error: empty input\n"
 
 
+def test_cli_import_skips_dataclasses_inspect_and_typing():
+    # Every command pays the import of ntdice.cli in a fresh process, and
+    # these three modules alone cost about a quarter of it. -S keeps site
+    # hooks from loading them first.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    probe = (
+        f"import sys; sys.path.insert(0, {src!r}); import ntdice.cli; "
+        "print(*sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", probe], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []
+
+
 def test_non_utf8_stdin_is_usage_error_under_c_locale():
     proc = subprocess.run(
         [sys.executable, "-m", "ntdice", "verify", "-"],

@@ -5,9 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle
+import records
 from ntdice import (
     BalanceSummary,
     Classification,
+    DiceError,
+    DiceSet,
     DuplicateLabel,
     FewerThanTwoDice,
     IndexOutOfRange,
@@ -15,6 +18,8 @@ from ntdice import (
     MalformedWord,
     PositionOutOfRange,
     SameDie,
+    TooManyDice,
+    Verdict,
     WinOdds,
     Word,
     WrongSideCount,
@@ -102,6 +107,13 @@ def test_validate_wrong_side_count():
 def test_validate_fewer_than_two_dice():
     with pytest.raises(FewerThanTwoDice):
         validate_dice([[1, 2, 3]])
+
+
+def test_validate_too_many_dice():
+    validate_dice([[i + 1] for i in range(26)])
+    with pytest.raises(TooManyDice, match="at most 26 dice, got 27"):
+        validate_dice([[i + 1] for i in range(27)])
+    assert issubclass(TooManyDice, DiceError)
 
 
 def test_validate_empty_dice():
@@ -457,3 +469,63 @@ def test_dice_set_is_immutable():
     d = validate_dice(EX3)
     with pytest.raises(AttributeError):
         d.dice = ()
+
+
+# -- value records -----------------------------------------------------------------
+
+RECORDS = [
+    (Word, ("letters", "m"), (EX3_WORD, 3), "Word(letters='acbbaccba', m=3)"),
+    (
+        DiceSet,
+        ("dice",),
+        (((9, 5, 1), (8, 4, 3), (7, 6, 2)),),
+        "DiceSet(dice=((9, 5, 1), (8, 4, 3), (7, 6, 2)))",
+    ),
+    (WinOdds, ("wins", "trials"), (5, 9), "WinOdds(wins=5, trials=9)"),
+    (
+        BalanceSummary,
+        ("m", "n", "qplus_sums", "qminus_sums", "qsame_sums", "face_sums"),
+        (3, 3, (5, 5, 5), (4, 4, 4), (3, 3, 3), (15, 15, 15)),
+        "BalanceSummary(m=3, n=3, qplus_sums=(5, 5, 5), qminus_sums=(4, 4, 4), "
+        "qsame_sums=(3, 3, 3), face_sums=(15, 15, 15))",
+    ),
+    (
+        Verdict,
+        ("classification", "witness_odds", "suggested_relabeling", "method"),
+        (Classification.BALANCED_REVERSE, WinOdds(4, 9), (0, 2, 1), "cycle"),
+        "Verdict(classification=<Classification.BALANCED_REVERSE: 'balanced-reverse'>, "
+        "witness_odds=WinOdds(wins=4, trials=9), suggested_relabeling=(0, 2, 1), "
+        "method='cycle')",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "cls, names, values, text", RECORDS, ids=[case[0].__name__ for case in RECORDS]
+)
+def test_value_record_contract(cls, names, values, text):
+    records.check_value_record(cls, names, values, text)
+
+
+def test_verdict_defaults():
+    verdict = Verdict(Classification.UNBALANCED)
+    assert verdict.witness_odds is None
+    assert verdict.suggested_relabeling is None
+    assert verdict.method == "face-sum"
+    assert verdict == Verdict(Classification.UNBALANCED, None, None, "face-sum")
+    assert Verdict(Classification.UNBALANCED, method="cycle").method == "cycle"
+    assert repr(verdict) == (
+        "Verdict(classification=<Classification.UNBALANCED: 'unbalanced'>, "
+        "witness_odds=None, suggested_relabeling=None, method='face-sum')"
+    )
+
+
+def test_win_odds_keeps_its_own_equality_and_range_check():
+    assert WinOdds(5, 9) == WinOdds(10, 18)
+    assert hash(WinOdds(5, 9)) == hash(WinOdds(10, 18))
+    assert WinOdds(0, 9).wins == 0 and WinOdds(9, 9).wins == 9
+    for wins in (-1, 10):
+        with pytest.raises(ValueError, match=f"wins {wins} outside 0..9"):
+            WinOdds(wins, 9)
+    with pytest.raises(ValueError):
+        WinOdds(wins=10, trials=9)

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle
+import records
 from ntdice import (
     BASE_QUADS,
     BudgetExceeded,
@@ -543,3 +544,44 @@ def test_search_realization_budget():
     t = Tournament.from_text("1>2,2>3,3>1")
     with pytest.raises(BudgetExceeded):
         search_realization(t, 9, budget=1000)
+
+
+# -- value records -------------------------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "cls, names, values, text",
+    [
+        (
+            Census,
+            (
+                "n",
+                "m",
+                "total_words",
+                "balanced",
+                "nontransitive",
+                "balanced_nontransitive",
+                "irreducible_bnt",
+            ),
+            (3, 3, 1680, 12, 15, 6, 6),
+            "Census(n=3, m=3, total_words=1680, balanced=12, nontransitive=15, "
+            "balanced_nontransitive=6, irreducible_bnt=6)",
+        ),
+        (
+            Tournament,
+            ("m", "edges"),
+            (2, frozenset({(1, 0)})),
+            "Tournament(m=2, edges=frozenset({(1, 0)}))",
+        ),
+    ],
+    ids=["Census", "Tournament"],
+)
+def test_value_record_contract(cls, names, values, text):
+    records.check_value_record(cls, names, values, text)
+
+
+def test_search_records_equal_their_computed_twins():
+    assert enumerate_words(3, 3) == Census(3, 3, 1680, 12, 15, 6, 6)
+    cycle = Tournament.from_text("1>2,2>3,3>1")
+    assert cycle == Tournament(3, frozenset({(0, 1), (1, 2), (2, 0)}))
+    assert hash(cycle) == hash(Tournament.from_edges(3, [(2, 0), (1, 2), (0, 1)]))
+    assert len({cycle, Tournament.from_text("3>1,2>3,1>2")}) == 1
