@@ -8,13 +8,14 @@ grows with the number of DP states (one per rotation orbit). On a 2-core
 VM with Python 3.11, ``--max-sides 8 --budget 10000000000`` takes about
 1 s (0.7 s of it n=8), and ``--dice 4 5 --max-sides 5 --budget
 1000000000000000`` about 21 s (20 s of it m=5, n=5). The budget flag
-guards against accidental monster runs.
+guards against accidental monster runs: a size ``enumerate_words`` refuses
+is reported as skipped, with its refusal.
 """
 
 import argparse
 import time
 
-from ntdice import enumerate_words, word_count
+from ntdice import BudgetExceeded, enumerate_words
 
 
 def main() -> None:
@@ -35,11 +36,12 @@ def main() -> None:
         print(header)
         print("-" * len(header))
         for n in range(1, args.max_sides + 1):
-            if word_count(n, m) > args.budget:
-                print(f"{n:>3} skipped: {word_count(n, m)} words over budget")
-                continue
             start = time.perf_counter()
-            census = enumerate_words(n, m, budget=args.budget)
+            try:
+                census = enumerate_words(n, m, budget=args.budget)
+            except BudgetExceeded as exc:
+                print(f"{n:>3} skipped: {exc}")
+                continue
             elapsed = time.perf_counter() - start
             print(
                 f"{n:>3} {census.total_words:>18} {census.balanced:>12} "

@@ -201,12 +201,18 @@ def dice_document(dice_set: DiceSet, annotations: dict | None = None) -> dict:
     return doc
 
 
+def _pair_odds(triples) -> list[dict]:
+    """One ``{"pair": "a>b", wins, trials, display}`` row per (i, j, odds)."""
+    return [
+        {"pair": f"{ALPHABET[i]}>{ALPHABET[j]}", **_odds_json(odds)}
+        for i, j, odds in triples
+    ]
+
+
 def _cycle_odds_annotation(dice_set: DiceSet) -> list[dict]:
-    out = []
-    for i, odds in enumerate(cycle_odds(dice_set)):
-        j = (i + 1) % dice_set.m
-        out.append({"pair": f"{ALPHABET[i]}>{ALPHABET[j]}", **_odds_json(odds)})
-    return out
+    return _pair_odds(
+        (i, (i + 1) % dice_set.m, odds) for i, odds in enumerate(cycle_odds(dice_set))
+    )
 
 
 def _render_dice_text(dice_set: DiceSet, annotations: dict | None = None) -> str:
@@ -215,14 +221,11 @@ def _render_dice_text(dice_set: DiceSet, annotations: dict | None = None) -> str
         for i, row in enumerate(dice_set.dice)
     ]
     for key, value in (annotations or {}).items():
-        if key == "cycle_odds":
+        if key in ("cycle_odds", "pairwise_odds"):
             pretty = ", ".join(f"{o['pair']} {o['display']}" for o in value)
-            lines.append(f"# cycle odds: {pretty}")
+            lines.append(f"# {key.replace('_', ' ')}: {pretty}")
         elif key == "face_sums":
             lines.append(f"# face sums: {' '.join(str(v) for v in value)}")
-        elif key == "pairwise_odds":
-            pretty = ", ".join(f"{o['pair']} {o['display']}" for o in value)
-            lines.append(f"# pairwise odds: {pretty}")
         else:
             lines.append(f"# {key.replace('_', ' ')}: {value}")
     return "\n".join(lines)
@@ -345,16 +348,11 @@ def cmd_realize(args: argparse.Namespace) -> int:
     # Both routes guarantee the result realizes the tournament: realize_k3
     # checks it, and the search walker yields only words its per-pair test
     # accepts, which at a full word is the tournament itself.
-    pairwise = [
-        {
-            "pair": f"{ALPHABET[i]}>{ALPHABET[j]}",
-            **_odds_json(win_probability(dice_set, i, j)),
-        }
-        for i, j in sorted(tournament.edges)
-    ]
     annotations = {
         "command": f"realize --tournament {args.tournament} --sides {args.sides}",
-        "pairwise_odds": pairwise,
+        "pairwise_odds": _pair_odds(
+            (i, j, win_probability(dice_set, i, j)) for i, j in sorted(tournament.edges)
+        ),
     }
     _emit_dice(dice_set, annotations, args.format)
     return EXIT_OK

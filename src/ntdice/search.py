@@ -9,11 +9,16 @@ die has placed the same number of letters, so the same DP, carrying one
 threshold per state, counts the irreducible words too. Rotating the letters
 (x -> succ x) maps the cycle of dice onto itself, so each DP layer keeps
 one state per rotation orbit with the orbit's total prefix count, about m
-times fewer states than one per rotation. Listing words, the
-balanced non-transitive scan and realization search share one iterative
-backtracker that visits words in lexicographic order. Each caller gives it
-one test, asked after every placement: it prunes inner nodes with sound
-bounds (cycle-win intervals for the scan, per-pair win bounds for
+times fewer states than one per rotation.
+
+Listing words, the balanced non-transitive scan and realization search
+share one iterative backtracker, ``_backtrack``, that visits words in
+lexicographic order. It owns the walk: it refuses an oversized space
+before returning its generator, keeps the prefix's per-letter counts and
+spells the words it yields. Each caller brings only its rule: the wins it
+derives from those counts, updated on every placement and its undo, and
+one test, asked after every placement. The test prunes inner nodes with
+sound bounds (cycle-win intervals for the scan, per-pair win bounds for
 realizations) and, with nothing left to place, is exact, so it also
 decides which full words are yielded. Nothing runs in parallel, so results
 never depend on ``jobs``, which is accepted and ignored.
@@ -36,6 +41,9 @@ from .errors import (
 )
 
 DEFAULT_BUDGET = 10 ** 8
+
+# Most digits of a word count that a budget error names exactly.
+_EXACT_DIGITS = 30
 
 
 class Census(_Record):
@@ -117,16 +125,33 @@ def word_count(n: int, m: int) -> int:
 
 
 def _check_budget(n: int, m: int, budget: int) -> int:
+    """The exact word count, or BudgetExceeded when it is over ``budget``.
+
+    The count's decimal digits are estimated first from log-gamma. A space
+    estimated past both 10^_EXACT_DIGITS and ten times the budget is refused
+    from the estimate alone, as about 10^k words with ``total_words`` None,
+    so a huge n costs neither (mn)! nor a number too long to print. In
+    every other case the exact count decides, and it names itself in the
+    error when it has at most _EXACT_DIGITS digits.
+    """
     if n < 1:
         raise SearchSizeError(f"need at least one side, got n={n}")
     if not 2 <= m <= len(ALPHABET):
         raise SearchSizeError(f"alphabet size {m} outside 2..{len(ALPHABET)}")
-    total = word_count(n, m)
-    if total > budget:
-        raise BudgetExceeded(
-            f"{total} words at n={n}, m={m} exceed budget {budget}", total
-        )
-    return total
+    try:
+        digits = (math.lgamma(m * n + 1) - m * math.lgamma(n + 1)) / math.log(10)
+    except OverflowError:  # m·n past the float range
+        digits = math.inf
+    total = None
+    if digits <= max(_EXACT_DIGITS, math.log10(max(budget, 1)) + 1):
+        total = word_count(n, m)
+        if total <= budget:
+            return total
+    if digits <= _EXACT_DIGITS:
+        size = str(total)
+    else:
+        size = f"about 10^{digits:.0f}" if digits < math.inf else "over 10^308"
+    raise BudgetExceeded(f"{size} words at n={n}, m={m} exceed budget {budget}", total)
 
 
 def _cut_threshold(j: int, n: int, wins: int) -> int:
@@ -163,62 +188,68 @@ def is_irreducible(word: Word) -> bool:
 
 
 def _backtrack(
-    n: int,
-    m: int,
-    push: Callable[[int], None],
-    pop: Callable[[int], None],
-    dead: Callable[[int], bool],
-) -> Iterator[list[int]]:
+    n: int, m: int, budget: int, rule: Callable[[list[int]], tuple]
+) -> Iterator[str]:
     """Walk every word with n of each of m letters in lexicographic order.
 
-    ``push(x)`` appends letter x and ``pop(x)`` takes it back; ``dead(x)``
-    is asked after every placement, the one that completes a word included.
-    A true answer cuts the subtree below an inner node and drops a full
-    word, so ``dead`` is the one leaf rule: only full words where it is
-    false are yielded. Each reaches the caller as the walker's own
-    letter-id list, with the caller's state still at that leaf; the list is
-    valid until the walk resumes.
+    Not a generator itself: it refuses a size out of range or over
+    ``budget`` (``_check_budget``) as soon as it is called, then returns
+    the walk. The walker owns ``placed``, the prefix's count of each
+    letter, and only it changes them. ``rule(placed)`` is called once,
+    after the check, so a caller builds its m-sized state only for sizes
+    the gate admits; it returns the caller's ``(push, pop, dead)``, which
+    read ``placed`` and keep whatever the caller derives from it. After
+    each placement of letter x the walker counts it in ``placed`` and calls
+    ``push(x)``; before undoing one it uncounts it and calls ``pop(x)``.
+    ``dead(x)`` is asked after every placement, the one that completes a
+    word included. A true answer cuts the subtree below an inner node and
+    drops a full word, so ``dead`` is the one leaf rule: only full words
+    where it is false are yielded, spelled as strings, with the caller's
+    state still at that leaf.
     """
-    mn = m * n
-    remaining = [n] * m
-    word = [0] * mn
-    depth = 0
-    letter = 0
-    while True:
-        while letter < m and remaining[letter] == 0:
-            letter += 1
-        if letter == m:
-            if depth == 0:
-                return
+    _check_budget(n, m, budget)
+    placed = [0] * m
+    push, pop, dead = rule(placed)
+
+    def walk() -> Iterator[str]:
+        mn = m * n
+        word = [0] * mn
+        depth = 0
+        letter = 0
+        while True:
+            while letter < m and placed[letter] == n:
+                letter += 1
+            if letter == m:
+                if depth == 0:
+                    return
+                depth -= 1
+                letter = word[depth]
+                placed[letter] -= 1
+                pop(letter)
+                letter += 1
+                continue
+            word[depth] = letter
+            placed[letter] += 1
+            push(letter)
+            depth += 1
+            if not dead(letter):
+                if depth == mn:
+                    yield "".join([ALPHABET[x] for x in word])
+                else:
+                    letter = 0
+                    continue
             depth -= 1
-            letter = word[depth]
-            remaining[letter] += 1
+            placed[letter] -= 1
             pop(letter)
             letter += 1
-            continue
-        word[depth] = letter
-        remaining[letter] -= 1
-        push(letter)
-        depth += 1
-        if not dead(letter):
-            if depth == mn:
-                yield word
-            else:
-                letter = 0
-                continue
-        depth -= 1
-        remaining[letter] += 1
-        pop(letter)
-        letter += 1
+
+    return walk()
 
 
 def iter_words(n: int, m: int = 3, budget: int = DEFAULT_BUDGET) -> Iterator[str]:
     """Yield every word with n of each of the first m letters, lexicographically."""
-    _check_budget(n, m, budget)
-    return (
-        "".join([ALPHABET[x] for x in word])
-        for word in _backtrack(n, m, lambda x: None, lambda x: None, lambda x: False)
-    )
+    no_rule = (lambda x: None, lambda x: None, lambda x: False)
+    return _backtrack(n, m, budget, lambda placed: no_rule)
 
 
 def _census_counts(n: int, m: int) -> tuple[int, int, int, int]:
@@ -361,29 +392,26 @@ def balanced_nontransitive_words(
     die's final cycle-win count, and the same test passes exactly the
     balanced non-transitive words, so the walk yields nothing else.
     """
-    _check_budget(n, m, budget)
     need = n * n // 2 + 1
-    succ = [(x + 1) % m for x in range(m)]
-    placed = [0] * m
-    cyc = [0] * m
 
-    # The step of ``core._cycle_pass`` and its inverse, inline for speed.
-    def push(x: int) -> None:
-        cyc[x] += placed[succ[x]]
-        placed[x] += 1
+    def rule(placed: list[int]):
+        succ = [(x + 1) % m for x in range(m)]
+        cyc = [0] * m
 
-    def pop(x: int) -> None:
-        placed[x] -= 1
-        cyc[x] -= placed[succ[x]]
+        # The step of ``core._cycle_pass`` and its inverse, inline for speed.
+        def push(x: int) -> None:
+            cyc[x] += placed[succ[x]]
 
-    def dead(x: int) -> bool:
-        low, high = _interval_bounds(placed, cyc, n, succ)
-        return max(low, need) > high
+        def pop(x: int) -> None:
+            cyc[x] -= placed[succ[x]]
 
-    return (
-        "".join([ALPHABET[x] for x in word])
-        for word in _backtrack(n, m, push, pop, dead)
-    )
+        def dead(x: int) -> bool:
+            low, high = _interval_bounds(placed, cyc, n, succ)
+            return max(low, need) > high
+
+        return push, pop, dead
+
+    return _backtrack(n, m, budget, rule)
 
 
 def majority_digraph(dice_set: DiceSet) -> frozenset[tuple[int, int]]:
@@ -456,40 +484,38 @@ def search_realization(
     first one is the answer.
     """
     m = tournament.m
-    _check_budget(n, m, budget)
     nsq = n * n
     need = nsq // 2 + 1
     cap = (nsq - 1) // 2
-    others = [[y for y in range(m) if y != x] for x in range(m)]
-    must_beat = [[tournament.beats(x, y) for y in range(m)] for x in range(m)]
 
-    placed = [0] * m
-    wins = [[0] * m for _ in range(m)]
+    def rule(placed: list[int]):
+        others = [[y for y in range(m) if y != x] for x in range(m)]
+        must_beat = [[tournament.beats(x, y) for y in range(m)] for x in range(m)]
+        wins = [[0] * m for _ in range(m)]
 
-    # The step of ``core._cycle_pass`` over every ordered pair, inline.
-    def push(x: int) -> None:
-        row = wins[x]
-        for y in others[x]:
-            row[y] += placed[y]
-        placed[x] += 1
+        # The step of ``core._cycle_pass`` over every ordered pair, inline.
+        def push(x: int) -> None:
+            row = wins[x]
+            for y in others[x]:
+                row[y] += placed[y]
 
-    def pop(x: int) -> None:
-        placed[x] -= 1
-        row = wins[x]
-        for y in others[x]:
-            row[y] -= placed[y]
+        def pop(x: int) -> None:
+            row = wins[x]
+            for y in others[x]:
+                row[y] -= placed[y]
 
-    def dead(x: int) -> bool:
-        row = wins[x]
-        slack = (n - placed[x]) * n
-        for y in others[x]:
-            if must_beat[x][y]:
-                if row[y] + slack < need:
+        def dead(x: int) -> bool:
+            row = wins[x]
+            slack = (n - placed[x]) * n
+            for y in others[x]:
+                if must_beat[x][y]:
+                    if row[y] + slack < need:
+                        return True
+                elif row[y] > cap:
                     return True
-            elif row[y] > cap:
-                return True
-        return False
+            return False
 
-    for word in _backtrack(n, m, push, pop, dead):
-        return dice_of_word(Word("".join([ALPHABET[x] for x in word]), m))
-    return None
+        return push, pop, dead
+
+    word = next(_backtrack(n, m, budget, rule), None)
+    return None if word is None else dice_of_word(Word(word, m))

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 from unittest import mock
@@ -408,6 +409,38 @@ def test_search_budget_exceeded(run):
     assert "9465511770" in err
 
 
+@pytest.mark.parametrize(
+    "argv, size",
+    [
+        (["search", "--sides", "3100", "--count"], "about 10^4433 words at n=3100, m=3"),
+        (
+            ["realize", "--tournament", "1>2,2>3,3>4,4>1,1>3,2>4", "--sides", "2300"],
+            "about 10^5533 words at n=2300, m=4",
+        ),
+        (
+            ["search", "--sides", "1000000000", "--count"],
+            "about 10^1431363755 words at n=1000000000, m=3",
+        ),
+        (["search", "--sides", "3000", "--list"], "about 10^4290 words at n=3000, m=3"),
+    ],
+    ids=["count-n3100", "realize-n2300", "count-n1e9", "list-n3000"],
+)
+def test_huge_word_spaces_are_refused_in_one_line(argv, size):
+    # A fresh process, so a gate that computes (mn)! again fails by timeout
+    # rather than hanging the suite.
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "ntdice", *argv],
+        capture_output=True,
+        text=True,
+        env=ntdice_env(),
+        timeout=30,
+    )
+    assert time.perf_counter() - start < 10
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == f"error: {size} exceed budget 100000000\n"
+
+
 def test_search_jobs_flag_changes_nothing(run):
     _, serial, _ = run(["search", "--sides", "4", "--count", "--format", "json"])
     _, parallel, _ = run(["search", "--sides", "4", "--count", "--jobs", "2", "--format", "json"])
@@ -420,9 +453,10 @@ def test_search_jobs_flag_changes_nothing(run):
         ["search", "--sides", "0"],
         ["search", "--sides", "3", "--dice", "1"],
         ["search", "--sides", "3", "--dice", "27"],
+        ["search", "--sides", "3", "--dice", "1" + "0" * 20, "--list"],
         ["realize", "--tournament", "1>2", "--sides", "0"],
     ],
-    ids=["no-sides", "one-die", "27-dice", "realize-no-sides"],
+    ids=["no-sides", "one-die", "27-dice", "1e20-dice-list", "realize-no-sides"],
 )
 def test_search_size_errors_are_usage_errors(run, argv):
     code, out, err = run(argv)

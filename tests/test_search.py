@@ -1,6 +1,8 @@
 """Enumeration, census, irreducibility, and tournament realization."""
 
+import hashlib
 import itertools
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -101,6 +103,34 @@ def test_iter_words_budget_is_eager():
     with pytest.raises(BudgetExceeded) as exc:
         iter_words(8, 3, budget=1000)
     assert exc.value.total_words == word_count(8, 3)
+
+
+@pytest.mark.parametrize(
+    "n,m", [(3000, 3), (10 ** 9, 3), (10 ** 400, 2)], ids=["n3000", "n1e9", "n1e400"]
+)
+def test_budget_refuses_huge_spaces_from_an_estimate(n, m):
+    with pytest.raises(BudgetExceeded) as exc:
+        iter_words(n, m)
+    assert exc.value.total_words is None
+    size = str(exc.value).split(" words at ")[0]
+    if n == 3000:  # small enough to check the estimate against the exact count
+        assert size == f"about 10^{round(math.log10(word_count(n, m)))}"
+    else:
+        assert size.startswith(("about 10^", "over 10^"))
+
+
+@pytest.mark.parametrize("n,m", [(8, 3), (16, 3), (30, 3), (9, 6)])
+def test_budget_is_decided_by_the_exact_count_near_it(n, m):
+    total = word_count(n, m)
+    assert list(itertools.islice(iter_words(n, m, budget=total), 1)) != []
+    for budget in (total - 1, total // 2, 0):
+        with pytest.raises(BudgetExceeded) as exc:
+            iter_words(n, m, budget=budget)
+        # Zero is more than ten times below a space past 10^30: estimated.
+        exact = total < 10 ** 30 or budget > 0
+        assert exc.value.total_words == (total if exact else None)
+        if total < 10 ** 30:
+            assert str(exc.value).startswith(f"{total} words at n={n}, m={m} ")
 
 
 # -- census -------------------------------------------------------------------------
@@ -377,6 +407,28 @@ def test_bnt_scan_budget_is_eager():
         balanced_nontransitive_words(8, 3, budget=1000)
 
 
+# SHA-256 of each balanced non-transitive word stream, lines joined by "\n".
+# Frozen so that any rewrite of the walker must keep its output
+# byte-identical; (6, 3) and (3, 4) are also pinned by the benchmark.
+BNT_STREAMS = {
+    (5, 3): (915, "dd42c17400b27cd26be3d4e6d1eccc807397aa06306a4821c52748f0946b6d12"),
+    (6, 3): (5730, "776edd5a307501bde0166063062c064b18fae0b3c711b596e944ae375c99b7c1"),
+    (3, 4): (148, "f9a18327f02faea2fb0e8c67d5317567378fbb7acc30ce44160260aa8eb08456"),
+    (4, 4): (1976, "c67c450044ffe2a4879462f6bf0a19a717b8fb53b87924ed8c72be9bbbe8a277"),
+    (3, 5): (8680, "842d1ace41dca5ef6c8a460fdb66451e6bc2b289d6805e0524ad600d9f8d9a0b"),
+}
+
+
+def stream_digest(lines):
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("n,m", sorted(BNT_STREAMS))
+def test_bnt_word_stream_is_pinned(n, m):
+    words = list(balanced_nontransitive_words(n, m, budget=word_count(n, m)))
+    assert (len(words), stream_digest(words)) == BNT_STREAMS[(n, m)]
+
+
 # -- irreducibility ----------------------------------------------------------------------
 
 def test_classic_word_is_irreducible():
@@ -538,6 +590,25 @@ def test_search_realization_matches_oracle():
             if got != oracle.first_realization(edges, n, 4):
                 mismatches.append((n, sorted(edges), got))
     assert mismatches == []
+
+
+def test_smallest_realization_witnesses_are_pinned():
+    # For each of the 1,024 five-vertex tournaments, by edge mask, the least
+    # n <= 3 that realizes it and the walk's first witness there, as
+    # "mask:n:word" lines in mask order; the benchmark pins the same digest.
+    pairs = list(itertools.combinations(range(5), 2))
+    lines = []
+    for mask in range(1 << len(pairs)):
+        edges = [(i, j) if mask >> k & 1 else (j, i) for k, (i, j) in enumerate(pairs)]
+        tournament = Tournament.from_edges(5, edges)
+        for n in (1, 2, 3):
+            found = search_realization(tournament, n, budget=word_count(n, 5))
+            if found is not None:
+                break
+        lines.append(f"{mask}:{n}:{word_of_dice(found).letters}")
+    assert stream_digest(lines) == (
+        "8ffd9b10eee737df8b8a2ad962d3d1c645b7faa519c1498ce1fe086107c19dcc"
+    )
 
 
 def test_search_realization_budget():
