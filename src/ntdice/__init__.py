@@ -59,6 +59,7 @@ from .errors import (
     SearchSizeError,
     SidesTooSmall,
     TooManyDice,
+    TooManyLabels,
     TournamentSpecError,
     WrongSideCount,
 )

@@ -59,6 +59,17 @@ EXIT_USAGE = 2
 # input; they are cut to this width, ending in an ellipsis.
 _ERROR_WIDTH = 200
 
+# The census fields in output order, as (JSON key and Census field, text label).
+_CENSUS_FIELDS = (
+    ("n", "n"),
+    ("m", "m"),
+    ("total_words", "total-words"),
+    ("balanced", "balanced"),
+    ("nontransitive", "nontransitive"),
+    ("balanced_nontransitive", "balanced-nontransitive"),
+    ("irreducible_bnt", "irreducible"),
+)
+
 # A row label: ASCII digits with an optional sign. int() alone also takes
 # underscores ('1_0') and non-ASCII digits ('١').
 _LABEL = re.compile(r"[+-]?[0-9]+")
@@ -314,25 +325,12 @@ def cmd_search(args: argparse.Namespace) -> int:
         return EXIT_OK
     census = enumerate_words(args.sides, args.dice, budget=args.budget, jobs=args.jobs)
     if args.format == "json":
-        doc = {
-            "schema": CENSUS_SCHEMA,
-            "n": census.n,
-            "m": census.m,
-            "total_words": census.total_words,
-            "balanced": census.balanced,
-            "nontransitive": census.nontransitive,
-            "balanced_nontransitive": census.balanced_nontransitive,
-            "irreducible_bnt": census.irreducible_bnt,
-        }
+        doc = {"schema": CENSUS_SCHEMA}
+        doc.update((key, getattr(census, key)) for key, _ in _CENSUS_FIELDS)
         print(json.dumps(doc, indent=2))
     else:
-        print(f"n: {census.n}")
-        print(f"m: {census.m}")
-        print(f"total-words: {census.total_words}")
-        print(f"balanced: {census.balanced}")
-        print(f"nontransitive: {census.nontransitive}")
-        print(f"balanced-nontransitive: {census.balanced_nontransitive}")
-        print(f"irreducible: {census.irreducible_bnt}")
+        for key, label in _CENSUS_FIELDS:
+            print(f"{label}: {getattr(census, key)}")
     return EXIT_OK
 
 
@@ -346,7 +344,7 @@ def cmd_realize(args: argparse.Namespace) -> int:
         print("none")
         return EXIT_NEGATIVE
     # Both routes guarantee the result realizes the tournament: realize_k3
-    # checks it, and the search walker yields only words its per-pair test
+    # checks it, and the search walker yields only words its per-edge test
     # accepts, which at a full word is the tournament itself.
     annotations = {
         "command": f"realize --tournament {args.tournament} --sides {args.sides}",

@@ -3,7 +3,9 @@
 Three building blocks cover every number of sides n >= 3: hard-coded
 minimal examples for 3, 4 and 5 sides, word concatenation (which adds
 sides while preserving balance and non-transitivity), and two Fibonacci
-block constructions.
+block constructions. A construction that would hand out more than
+``MAX_LABELS`` labels is refused with ``TooManyLabels`` before anything is
+built.
 """
 
 from __future__ import annotations
@@ -23,7 +25,12 @@ from .errors import (
     IndexTooSmall,
     NotOddIndex,
     SidesTooSmall,
+    TooManyLabels,
 )
+
+# Most labels a construction builds: m·n for the for-all-n construction,
+# 3·f(k) for the Fibonacci ones. gen --sides 1000000 and fib --k 32 fit.
+MAX_LABELS = 10 ** 7
 
 # Minimal balanced non-transitive sets, one per side count mod 3. Cycle odds:
 # 5/9, 9/16, 13/25.
@@ -85,25 +92,36 @@ def concat_dice(first: DiceSet, second: DiceSet) -> DiceSet:
 def construct_balanced_nontransitive(n: int, m: int = 3) -> DiceSet:
     """A balanced non-transitive set with n sides and m dice, for any n >= 3.
 
-    Picks the base example matching n mod 3 and pads with copies of the
-    3-sided base until the side count reaches n.
+    Picks the base example matching n mod 3 and appends the 3-sided base
+    (n - base) / 3 times, as one concatenation with that many copies of it
+    in a row, so the cost stays linear in n.
     """
     if n < 3:
         raise SidesTooSmall(f"need at least 3 sides, got {n}")
+    if m * n > MAX_LABELS:
+        raise TooManyLabels(
+            f"n={n}, m={m} needs {m * n} labels, over the limit of {MAX_LABELS}"
+        )
     base_n = {0: 3, 1: 4, 2: 5}[n % 3]
-    word = word_of_dice(base_example(base_n, m))
-    filler = word_of_dice(base_example(3, m))
-    for _ in range((n - base_n) // 3):
-        word = concat_words(word, filler)
-    return dice_of_word(word)
+    filler = word_of_dice(base_example(3, m)).letters
+    padding = Word(filler * ((n - base_n) // 3), m)
+    return dice_of_word(concat_words(word_of_dice(base_example(base_n, m)), padding))
 
 
-def _fib(k: int) -> int:
-    """k-th Fibonacci number with f(1) = f(2) = 1."""
-    a, b = 1, 1
+def _fib_blocks(k: int) -> tuple[int, int, int]:
+    """(f(k-2), f(k-1), f(k)) with f(1) = f(2) = 1, for k >= 2.
+
+    Refuses with TooManyLabels as soon as 3·f(k) would pass MAX_LABELS, so
+    a huge k costs a few dozen steps.
+    """
+    a, b, c = 0, 1, 1
     for _ in range(k - 2):
-        a, b = b, a + b
-    return b
+        a, b, c = b, c, b + c
+        if 3 * c > MAX_LABELS:
+            raise TooManyLabels(
+                f"k={k} needs more labels than the limit of {MAX_LABELS}"
+            )
+    return a, b, c
 
 
 def fibonacci_savage(k: int) -> DiceSet:
@@ -115,11 +133,11 @@ def fibonacci_savage(k: int) -> DiceSet:
     """
     if k < 4:
         raise IndexTooSmall(f"need k >= 4 so every block is nonempty, got {k}")
-    sizes = (_fib(k - 2), _fib(k - 1), _fib(k), _fib(k - 1), _fib(k - 2))
+    f_k2, f_k1, f_k = _fib_blocks(k)
     owners = (0, 1, 2, 0, 1)
     rows: list[list[int]] = [[], [], []]
-    label = 3 * _fib(k)
-    for size, owner in zip(sizes, owners):
+    label = 3 * f_k
+    for size, owner in zip((f_k2, f_k1, f_k, f_k1, f_k2), owners):
         for _ in range(size):
             rows[owner].append(label)
             label -= 1
@@ -135,7 +153,7 @@ def fibonacci_boundary_swap(k: int) -> DiceSet:
     (670, 674, 672). ``fibonacci_balanced`` applies the gate.
     """
     base = fibonacci_savage(k)
-    top_b = 3 * _fib(k) - _fib(k - 2)
+    top_b = base.dice[1][0]
     rows = [list(row) for row in base.dice]
     rows[0][rows[0].index(top_b + 1)] = top_b
     rows[1][rows[1].index(top_b)] = top_b + 1

@@ -61,6 +61,10 @@ class NotOddIndex(DiceError):
     """The balancing swap only evens out face-sums at odd sequence indices."""
 
 
+class TooManyLabels(DiceError):
+    """A construction would build more labels than ``MAX_LABELS``."""
+
+
 class ConstructionError(DiceError):
     """A construction's self-check failed; indicates a bug."""
 

@@ -15,11 +15,12 @@ Listing words, the balanced non-transitive scan and realization search
 share one iterative backtracker, ``_backtrack``, that visits words in
 lexicographic order. It owns the walk: it refuses an oversized space
 before returning its generator, keeps the prefix's per-letter counts and
-spells the words it yields. Each caller brings only its rule: the wins it
-derives from those counts, updated on every placement and its undo, and
-one test, asked after every placement. The test prunes inner nodes with
-sound bounds (cycle-win intervals for the scan, per-pair win bounds for
-realizations) and, with nothing left to place, is exact, so it also
+spells the words it yields. Each caller brings only its rule, two
+callbacks: ``push``, run after every placement, updates the wins the
+caller derives from those counts and answers whether the prefix is dead,
+and ``pop`` undoes that update. The answer prunes inner nodes with sound
+bounds (cycle-win intervals for the scan, one win bound per required edge
+for realizations) and, with nothing left to place, is exact, so it also
 decides which full words are yielded. Nothing runs in parallel, so results
 never depend on ``jobs``, which is accepted and ignored.
 """
@@ -197,19 +198,19 @@ def _backtrack(
     the walk. The walker owns ``placed``, the prefix's count of each
     letter, and only it changes them. ``rule(placed)`` is called once,
     after the check, so a caller builds its m-sized state only for sizes
-    the gate admits; it returns the caller's ``(push, pop, dead)``, which
-    read ``placed`` and keep whatever the caller derives from it. After
-    each placement of letter x the walker counts it in ``placed`` and calls
-    ``push(x)``; before undoing one it uncounts it and calls ``pop(x)``.
-    ``dead(x)`` is asked after every placement, the one that completes a
-    word included. A true answer cuts the subtree below an inner node and
-    drops a full word, so ``dead`` is the one leaf rule: only full words
-    where it is false are yielded, spelled as strings, with the caller's
-    state still at that leaf.
+    the gate admits; it returns the caller's ``(push, pop)``, which read
+    ``placed`` and keep whatever the caller derives from it. After each
+    placement of letter x, the one that completes a word included, the
+    walker counts it in ``placed`` and calls ``push(x)``, which updates the
+    caller's state and answers whether the prefix is dead; before undoing
+    a placement it uncounts it and calls ``pop(x)``. A true answer cuts
+    the subtree below an inner node and drops a full word, so ``push`` is
+    the one leaf rule: only full words where it is false are yielded,
+    spelled as strings, with the caller's state still at that leaf.
     """
     _check_budget(n, m, budget)
     placed = [0] * m
-    push, pop, dead = rule(placed)
+    push, pop = rule(placed)
 
     def walk() -> Iterator[str]:
         mn = m * n
@@ -230,9 +231,8 @@ def _backtrack(
                 continue
             word[depth] = letter
             placed[letter] += 1
-            push(letter)
             depth += 1
-            if not dead(letter):
+            if not push(letter):
                 if depth == mn:
                     yield "".join([ALPHABET[x] for x in word])
                 else:
@@ -248,7 +248,7 @@ def _backtrack(
 
 def iter_words(n: int, m: int = 3, budget: int = DEFAULT_BUDGET) -> Iterator[str]:
     """Yield every word with n of each of the first m letters, lexicographically."""
-    no_rule = (lambda x: None, lambda x: None, lambda x: False)
+    no_rule = (lambda x: False, lambda x: None)
     return _backtrack(n, m, budget, lambda placed: no_rule)
 
 
@@ -399,17 +399,15 @@ def balanced_nontransitive_words(
         cyc = [0] * m
 
         # The step of ``core._cycle_pass`` and its inverse, inline for speed.
-        def push(x: int) -> None:
+        def push(x: int) -> bool:
             cyc[x] += placed[succ[x]]
+            low, high = _interval_bounds(placed, cyc, n, succ)
+            return max(low, need) > high
 
         def pop(x: int) -> None:
             cyc[x] -= placed[succ[x]]
 
-        def dead(x: int) -> bool:
-            low, high = _interval_bounds(placed, cyc, n, succ)
-            return max(low, need) > high
-
-        return push, pop, dead
+        return push, pop
 
     return _backtrack(n, m, budget, rule)
 
@@ -475,47 +473,52 @@ def search_realization(
     """Lexicographically first dice set whose full majority digraph equals
     the tournament, or None when no n-sided realization exists.
 
-    Backtracking over words with two sound bounds per pair: wins against a
-    required-loss opponent may never pass (n*n - 1) // 2, and wins toward a
-    required win must still be reachable with at most n new wins per future
-    placement. A die's row of wins changes only when it places a letter, and
-    after its last letter the bounds have no slack left and test the row
-    exactly, so every word the walk yields realizes the tournament and the
-    first one is the answer.
+    Backtracking over words with one sound bound per required edge x -> y.
+    Placing a letter of x adds ``placed[y]`` to ``wins[x][y]``, for the y
+    that x must beat only, and the prefix is dead once some such row can
+    no longer reach ``need`` = n²//2 + 1, with at most n new wins for each
+    of x's n - placed[x] letters still to come:
+
+        wins[x][y] + (n - placed[x])·n < need.
+
+    A row changes only when its die places a letter, and after the die's
+    last letter the bound has no slack left and tests the row exactly, so
+    every word the walk yields realizes the tournament and the first one
+    is the answer.
+
+    No bound on a required loss is needed: it could never prune. For an
+    edge y -> x, wins[x][y] = placed[x]·placed[y] - wins[y][x], so x
+    passing (n² - 1)//2 wins over y is the same as
+    wins[y][x] + n² - placed[x]·placed[y] < need. Both wins[y][x] and
+    placed[y] last changed at y's last placement, where y's own bound
+    passed: wins[y][x] + (n - placed[y])·n >= need. As placed[x] <= n,
+    n² - placed[x]·placed[y] >= (n - placed[y])·n, so the loss bound holds
+    too; before y places anything, wins[x][y] = 0.
     """
     m = tournament.m
-    nsq = n * n
-    need = nsq // 2 + 1
-    cap = (nsq - 1) // 2
+    need = n * n // 2 + 1
 
     def rule(placed: list[int]):
-        others = [[y for y in range(m) if y != x] for x in range(m)]
-        must_beat = [[tournament.beats(x, y) for y in range(m)] for x in range(m)]
+        beaten = [[y for y in range(m) if tournament.beats(x, y)] for x in range(m)]
         wins = [[0] * m for _ in range(m)]
 
-        # The step of ``core._cycle_pass`` over every ordered pair, inline.
-        def push(x: int) -> None:
+        # The step of ``core._cycle_pass`` over the required edges, inline.
+        def push(x: int) -> bool:
             row = wins[x]
-            for y in others[x]:
+            low = need - (n - placed[x]) * n
+            dead = False
+            for y in beaten[x]:
                 row[y] += placed[y]
+                if row[y] < low:
+                    dead = True
+            return dead
 
         def pop(x: int) -> None:
             row = wins[x]
-            for y in others[x]:
+            for y in beaten[x]:
                 row[y] -= placed[y]
 
-        def dead(x: int) -> bool:
-            row = wins[x]
-            slack = (n - placed[x]) * n
-            for y in others[x]:
-                if must_beat[x][y]:
-                    if row[y] + slack < need:
-                        return True
-                elif row[y] > cap:
-                    return True
-            return False
-
-        return push, pop, dead
+        return push, pop
 
     word = next(_backtrack(n, m, budget, rule), None)
     return None if word is None else dice_of_word(Word(word, m))

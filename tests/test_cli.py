@@ -356,6 +356,35 @@ def test_fib_small_index_fails(run):
     assert "k >= 4" in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["gen", "--sides", "100000000"], "n=100000000, m=3 needs 300000000 labels, over"),
+        (
+            ["gen", "--sides", "1000000000000000000"],
+            "n=1000000000000000000, m=3 needs 3000000000000000000 labels, over",
+        ),
+        (["fib", "--k", "201"], "k=201 needs more labels than"),
+        (["fib", "--k", "1000000000"], "k=1000000000 needs more labels than"),
+    ],
+    ids=["gen-n1e8", "gen-n1e18", "fib-k201", "fib-k1e9"],
+)
+def test_oversized_constructions_are_refused_in_one_line(argv, message):
+    # A fresh process, so a construction that starts building anyway fails
+    # by timeout or memory rather than taking the suite down with it.
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "ntdice", *argv],
+        capture_output=True,
+        text=True,
+        env=ntdice_env(),
+        timeout=30,
+    )
+    assert time.perf_counter() - start < 10
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == f"error: {message} the limit of 10000000\n"
+
+
 # -- search ----------------------------------------------------------------------
 
 def test_search_count_json(run):
@@ -375,6 +404,15 @@ def test_search_count_json(run):
     assert doc["balanced_nontransitive"] == 6
     assert doc["irreducible_bnt"] == 6
     assert_no_floats(doc)
+
+
+def test_search_count_text_is_pinned(run):
+    code, out, _ = run(["search", "--sides", "3", "--count"])
+    assert code == 0
+    assert out == (
+        "n: 3\nm: 3\ntotal-words: 1680\nbalanced: 12\nnontransitive: 15\n"
+        "balanced-nontransitive: 6\nirreducible: 6\n"
+    )
 
 
 def test_search_count_is_the_default_mode(run):

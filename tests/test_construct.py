@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle
+from ntdice import construct
 from ntdice import (
     BASE_QUADS,
     BASE_TRIPLES,
@@ -15,6 +16,7 @@ from ntdice import (
     IndexTooSmall,
     NotOddIndex,
     SidesTooSmall,
+    TooManyLabels,
     WinOdds,
     Word,
     balance_summary,
@@ -213,6 +215,32 @@ def test_construct_sweep_four_dice(n):
     assert is_balanced(d) and is_nontransitive(d)
 
 
+def concat_fold(n, m):
+    """The construction as one concat_words call per 3-sided block."""
+    base_n = {0: 3, 1: 4, 2: 5}[n % 3]
+    word = word_of_dice(base_example(base_n, m))
+    for _ in range((n - base_n) // 3):
+        word = concat_words(word, word_of_dice(base_example(3, m)))
+    return dice_of_word(word)
+
+
+@pytest.mark.parametrize("m", [3, 4])
+def test_construct_equals_the_concat_fold(m):
+    for n in range(3, 41):
+        assert construct_balanced_nontransitive(n, m) == concat_fold(n, m)
+
+
+def test_construct_refuses_more_than_max_labels(monkeypatch):
+    with pytest.raises(TooManyLabels, match="n=3333334, m=3 needs 10000002 labels"):
+        construct_balanced_nontransitive(3_333_334, 3)
+    monkeypatch.setattr(construct, "MAX_LABELS", 30)
+    assert construct_balanced_nontransitive(10, 3).n == 10
+    with pytest.raises(TooManyLabels, match="n=11, m=3 needs 33 labels, over the limit of 30"):
+        construct_balanced_nontransitive(11, 3)
+    with pytest.raises(TooManyLabels, match="n=8, m=4 needs 32 labels"):
+        construct_balanced_nontransitive(8, 4)
+
+
 # -- Fibonacci constructions --------------------------------------------------------
 
 def test_savage_k4_rows():
@@ -280,6 +308,18 @@ def test_fibonacci_balanced_rejects_small_index():
 def test_fibonacci_balanced_rejects_even_index(k):
     with pytest.raises(NotOddIndex, match="f\\(4\\)=3 and f\\(8\\)=21"):
         fibonacci_balanced(k)
+
+
+def test_fibonacci_refuses_more_than_max_labels(monkeypatch):
+    # k = 32 is the last index whose 3·f(k) labels fit the default limit.
+    assert construct._fib_blocks(32) == (832040, 1346269, 2178309)
+    for k in (33, 201, 10 ** 9 + 1):
+        with pytest.raises(TooManyLabels, match=f"k={k} needs more labels"):
+            fibonacci_balanced(k)
+    monkeypatch.setattr(construct, "MAX_LABELS", 3 * 55)
+    assert fibonacci_savage(10).n == 55
+    with pytest.raises(TooManyLabels, match="k=11 needs more labels than the limit of 165"):
+        fibonacci_savage(11)
 
 
 def test_savage_odds_match_brute_force():

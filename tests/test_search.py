@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 import oracle
 import records
 from ntdice import (
+    ALPHABET,
     BASE_QUADS,
     BudgetExceeded,
     Census,
@@ -429,6 +431,28 @@ def test_bnt_word_stream_is_pinned(n, m):
     assert (len(words), stream_digest(words)) == BNT_STREAMS[(n, m)]
 
 
+def reflect(letters, m):
+    """sigma(rev w) with sigma(x) = -x mod m: reverse the word, then map each
+    die x to die -x, so die sigma(x) gets the cycle wins of die pred x."""
+    return "".join(ALPHABET[-ALPHABET.index(ch) % m] for ch in reversed(letters))
+
+
+@pytest.mark.parametrize(
+    "n,m,fixed", [(5, 3, 9), (6, 3, 52), (3, 4, 0), (4, 4, 52), (3, 5, 44)]
+)
+def test_bnt_scan_is_closed_under_reflection(n, m, fixed):
+    # An independent check of the scan: the reflection maps balanced
+    # non-transitive words to balanced non-transitive words, a cut at j to a
+    # cut at n - j (so irreducibility is kept), and fixes exactly the pinned
+    # number of words.
+    words = list(balanced_nontransitive_words(n, m, budget=word_count(n, m)))
+    images = [reflect(w, m) for w in words]
+    assert sorted(images) == words
+    for w, image in zip(words, images):
+        assert is_irreducible(Word(image, m)) == is_irreducible(Word(w, m))
+    assert sum(w == image for w, image in zip(words, images)) == fixed
+
+
 # -- irreducibility ----------------------------------------------------------------------
 
 def test_classic_word_is_irreducible():
@@ -592,15 +616,27 @@ def test_search_realization_matches_oracle():
     assert mismatches == []
 
 
+def tournament_of_mask(m, mask):
+    """The m-vertex tournament whose k-th pair (i, j), in combinations
+    order, points i -> j when bit k of ``mask`` is set and j -> i otherwise."""
+    pairs = itertools.combinations(range(m), 2)
+    return Tournament.from_edges(
+        m, [(i, j) if mask >> k & 1 else (j, i) for k, (i, j) in enumerate(pairs)]
+    )
+
+
+def first_realization_line(m, mask, n):
+    found = search_realization(tournament_of_mask(m, mask), n, budget=word_count(n, m))
+    return f"{mask}:{n}:{'none' if found is None else word_of_dice(found).letters}"
+
+
 def test_smallest_realization_witnesses_are_pinned():
     # For each of the 1,024 five-vertex tournaments, by edge mask, the least
     # n <= 3 that realizes it and the walk's first witness there, as
     # "mask:n:word" lines in mask order; the benchmark pins the same digest.
-    pairs = list(itertools.combinations(range(5), 2))
     lines = []
-    for mask in range(1 << len(pairs)):
-        edges = [(i, j) if mask >> k & 1 else (j, i) for k, (i, j) in enumerate(pairs)]
-        tournament = Tournament.from_edges(5, edges)
+    for mask in range(1 << 10):
+        tournament = tournament_of_mask(5, mask)
         for n in (1, 2, 3):
             found = search_realization(tournament, n, budget=word_count(n, 5))
             if found is not None:
@@ -608,6 +644,23 @@ def test_smallest_realization_witnesses_are_pinned():
         lines.append(f"{mask}:{n}:{word_of_dice(found).letters}")
     assert stream_digest(lines) == (
         "8ffd9b10eee737df8b8a2ad962d3d1c645b7faa519c1498ce1fe086107c19dcc"
+    )
+
+
+def test_realization_witnesses_beyond_five_vertices_are_pinned():
+    # The first witness, or "none", as "mask:n:word" lines, for every
+    # 4-vertex tournament at n = 3 and 4 and for 30 seeded 6-vertex ones at
+    # n = 2 and 3 (no 6-vertex case here is realized at n = 2, so those
+    # lines pin the pruned search running to exhaustion).
+    four = [first_realization_line(4, mask, n) for n in (3, 4) for mask in range(64)]
+    assert stream_digest(four) == (
+        "cb9f69644376e6cffc36dd285323cf3d3f166f1ab2f237c5522b5063eaa93b45"
+    )
+    rng = random.Random(6)
+    masks = [rng.getrandbits(15) for _ in range(30)]
+    six = [first_realization_line(6, mask, n) for mask in masks for n in (2, 3)]
+    assert stream_digest(six) == (
+        "11cc6ad558a923a70ec9c9dace3c3c99573246fa339d71e0a285ed82c0201013"
     )
 
 
