@@ -89,6 +89,14 @@ def concat_dice(first: DiceSet, second: DiceSet) -> DiceSet:
     return dice_of_word(concat_words(word_of_dice(first), word_of_dice(second)))
 
 
+def _check_labels(n: int, m: int) -> None:
+    """Refuse m dice of n sides with TooManyLabels when m·n passes MAX_LABELS."""
+    if m * n > MAX_LABELS:
+        raise TooManyLabels(
+            f"n={n}, m={m} needs {m * n} labels, over the limit of {MAX_LABELS}"
+        )
+
+
 def construct_balanced_nontransitive(n: int, m: int = 3) -> DiceSet:
     """A balanced non-transitive set with n sides and m dice, for any n >= 3.
 
@@ -98,10 +106,7 @@ def construct_balanced_nontransitive(n: int, m: int = 3) -> DiceSet:
     """
     if n < 3:
         raise SidesTooSmall(f"need at least 3 sides, got {n}")
-    if m * n > MAX_LABELS:
-        raise TooManyLabels(
-            f"n={n}, m={m} needs {m * n} labels, over the limit of {MAX_LABELS}"
-        )
+    _check_labels(n, m)
     base_n = {0: 3, 1: 4, 2: 5}[n % 3]
     filler = word_of_dice(base_example(3, m)).letters
     padding = Word(filler * ((n - base_n) // 3), m)

@@ -15,14 +15,24 @@ Listing words, the balanced non-transitive scan and realization search
 share one iterative backtracker, ``_backtrack``, that visits words in
 lexicographic order. It owns the walk: it refuses an oversized space
 before returning its generator, keeps the prefix's per-letter counts and
-spells the words it yields. Each caller brings only its rule, two
-callbacks: ``push``, run after every placement, updates the wins the
-caller derives from those counts and answers whether the prefix is dead,
-and ``pop`` undoes that update. The answer prunes inner nodes with sound
-bounds (cycle-win intervals for the scan, one win bound per required edge
-for realizations) and, with nothing left to place, is exact, so it also
-decides which full words are yielded. Nothing runs in parallel, so results
-never depend on ``jobs``, which is accepted and ignored.
+spells the words it yields. Each caller brings only its rule: ``push``,
+run after every placement, updates the wins the caller derives from those
+counts and answers whether the prefix is dead, and ``pop`` undoes that
+update. The answer prunes inner nodes with sound bounds (cycle-win
+intervals for the scan, one win bound per required edge for realizations)
+and, with nothing left to place, is exact, so it also decides which full
+words are yielded.
+
+The listings share suffixes the way the census shares states. A rule may
+also give a ``key``, its state as a tuple (the cycle wins for the scan,
+nothing for ``iter_words``), so that a prefix's completions depend only
+on the letter counts plus that key. The walker then stops a few letters
+short of a word, at a depth fixed by (n, m), and yields the prefix
+followed by each completion of its state, a list built once per state and
+bounded in size. Realization passes no key: it wants only the first word,
+and a list is built whole before its first word comes out, so it walks
+every letter. Nothing runs in parallel, so results never depend on
+``jobs``, which is accepted and ignored.
 """
 
 from __future__ import annotations
@@ -30,7 +40,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable, Iterator
 
-from .construct import construct_balanced_nontransitive
+from .construct import _check_labels, construct_balanced_nontransitive
 from .core import ALPHABET, DiceSet, Word, _Record, _cycle_pass, beat_count, dice_of_word
 from .errors import (
     BudgetExceeded,
@@ -42,6 +52,9 @@ from .errors import (
 )
 
 DEFAULT_BUDGET = 10 ** 8
+
+# Most suffixes one memoized tail list of ``_backtrack`` may hold.
+_TAIL_WORDS = 10 ** 4
 
 # Most digits of a word count that a budget error names exactly.
 _EXACT_DIGITS = 30
@@ -188,6 +201,47 @@ def is_irreducible(word: Word) -> bool:
     return wins < thr
 
 
+def _tail_length(n: int, m: int) -> int:
+    """Letters the memoized tail of a keyed walk covers: the largest t with
+    m^t <= _TAIL_WORDS, so no tail list holds more than _TAIL_WORDS
+    suffixes, and at most mn - 1, so the top walk places a letter first."""
+    t = 0
+    while m ** (t + 1) <= _TAIL_WORDS:
+        t += 1
+    return min(t, m * n - 1)
+
+
+def _tail(
+    memo: dict, placed: list[int], n: int, push, pop, key, left: int
+) -> list[str]:
+    """Every completion of the current prefix, ``left`` letters long, in
+    lexicographic order, built once per state ``placed`` + ``key()``.
+
+    A plain recursive function, not a closure, so ``memo`` is freed by
+    reference counting as soon as the walk that owns it ends.
+    """
+    state = tuple(placed) + key()
+    found = memo.get(state)
+    if found is None:
+        found = []
+        left -= 1
+        for x, count in enumerate(placed):
+            if count == n:
+                continue
+            placed[x] = count + 1
+            if not push(x):
+                if left:
+                    head = ALPHABET[x]
+                    below = _tail(memo, placed, n, push, pop, key, left)
+                    found += [head + suffix for suffix in below]
+                else:
+                    found.append(ALPHABET[x])
+            placed[x] = count
+            pop(x)
+        memo[state] = found
+    return found
+
+
 def _backtrack(
     n: int, m: int, budget: int, rule: Callable[[list[int]], tuple]
 ) -> Iterator[str]:
@@ -198,22 +252,38 @@ def _backtrack(
     the walk. The walker owns ``placed``, the prefix's count of each
     letter, and only it changes them. ``rule(placed)`` is called once,
     after the check, so a caller builds its m-sized state only for sizes
-    the gate admits; it returns the caller's ``(push, pop)``, which read
-    ``placed`` and keep whatever the caller derives from it. After each
-    placement of letter x, the one that completes a word included, the
-    walker counts it in ``placed`` and calls ``push(x)``, which updates the
-    caller's state and answers whether the prefix is dead; before undoing
-    a placement it uncounts it and calls ``pop(x)``. A true answer cuts
-    the subtree below an inner node and drops a full word, so ``push`` is
-    the one leaf rule: only full words where it is false are yielded,
-    spelled as strings, with the caller's state still at that leaf.
+    the gate admits; it returns the caller's ``(push, pop, key)``. ``push``
+    and ``pop`` read ``placed`` and keep whatever the caller derives from
+    it. After each placement of letter x, the one that completes a word
+    included, the walker counts it in ``placed`` and calls ``push(x)``,
+    which updates the caller's state and answers whether the prefix is
+    dead; before undoing a placement it uncounts it and calls ``pop(x)``.
+    A true answer cuts the subtree below an inner node and drops a full
+    word, so ``push`` is the one leaf rule: only full words where it is
+    false are yielded, spelled as strings.
+
+    ``key`` is None for the plain walk: every word is walked to its last
+    letter, with the caller's state at that leaf when it is yielded. A
+    caller whose ``push`` answers depend only on ``placed`` and on the
+    state that ``key()`` returns as a tuple passes ``key`` to memoize the
+    tail: a prefix's completions then depend only on ``placed`` + ``key()``.
+    The walk stops at depth top = mn - ``_tail_length(n, m)`` and yields
+    the prefix followed by each suffix of that state's completion list,
+    which ``_tail`` builds once, with the lists of the states below it, the
+    first time the state is reached. Under a fixed prefix the suffix order
+    is the word order, so the stream is the plain walk's. The memo belongs
+    to the walk and goes when the walk ends. A caller that wants only the
+    first word gains nothing from it, since the first list is built whole
+    before the first word comes out, so realization passes no key.
     """
     _check_budget(n, m, budget)
     placed = [0] * m
-    push, pop = rule(placed)
+    push, pop, key = rule(placed)
+    mn = m * n
+    top = mn if key is None else mn - _tail_length(n, m)
 
     def walk() -> Iterator[str]:
-        mn = m * n
+        memo: dict = {}
         word = [0] * mn
         depth = 0
         letter = 0
@@ -233,11 +303,15 @@ def _backtrack(
             placed[letter] += 1
             depth += 1
             if not push(letter):
-                if depth == mn:
-                    yield "".join([ALPHABET[x] for x in word])
-                else:
+                if depth != top:
                     letter = 0
                     continue
+                if key is None:
+                    yield "".join([ALPHABET[x] for x in word])
+                else:
+                    prefix = "".join([ALPHABET[x] for x in word[:top]])
+                    for suffix in _tail(memo, placed, n, push, pop, key, mn - top):
+                        yield prefix + suffix
             depth -= 1
             placed[letter] -= 1
             pop(letter)
@@ -248,7 +322,7 @@ def _backtrack(
 
 def iter_words(n: int, m: int = 3, budget: int = DEFAULT_BUDGET) -> Iterator[str]:
     """Yield every word with n of each of the first m letters, lexicographically."""
-    no_rule = (lambda x: False, lambda x: None)
+    no_rule = (lambda x: False, lambda x: None, lambda: ())
     return _backtrack(n, m, budget, lambda placed: no_rule)
 
 
@@ -407,7 +481,10 @@ def balanced_nontransitive_words(
         def pop(x: int) -> None:
             cyc[x] -= placed[succ[x]]
 
-        return push, pop
+        def key() -> tuple[int, ...]:
+            return tuple(cyc)
+
+        return push, pop, key
 
     return _backtrack(n, m, budget, rule)
 
@@ -435,12 +512,14 @@ def realize_k3(tournament: Tournament, n: int) -> DiceSet:
 
     A directed 3-cycle maps onto the constructed balanced non-transitive
     set (n >= 3); an acyclic orientation is a total order, realized by
-    consecutive label blocks for any n >= 1.
+    consecutive label blocks for any n >= 1. Either way 3·n labels past
+    ``construct.MAX_LABELS`` are refused before anything is built.
     """
     if tournament.m != 3:
         raise ValueError(f"closed form covers 3 vertices, got {tournament.m}")
     if n < 1:
         raise SidesTooSmall(f"need at least one side, got {n}")
+    _check_labels(n, 3)
     degrees = tournament.out_degrees()
     if sorted(degrees) == [1, 1, 1]:
         if n < 3:
@@ -518,7 +597,7 @@ def search_realization(
             for y in beaten[x]:
                 row[y] -= placed[y]
 
-        return push, pop
+        return push, pop, None
 
     word = next(_backtrack(n, m, budget, rule), None)
     return None if word is None else dice_of_word(Word(word, m))

@@ -366,8 +366,12 @@ def test_fib_small_index_fails(run):
         ),
         (["fib", "--k", "201"], "k=201 needs more labels than"),
         (["fib", "--k", "1000000000"], "k=1000000000 needs more labels than"),
+        (
+            ["realize", "--tournament", "1>2,2>3,1>3", "--sides", "100000000"],
+            "n=100000000, m=3 needs 300000000 labels, over",
+        ),
     ],
-    ids=["gen-n1e8", "gen-n1e18", "fib-k201", "fib-k1e9"],
+    ids=["gen-n1e8", "gen-n1e18", "fib-k201", "fib-k1e9", "realize-n1e8"],
 )
 def test_oversized_constructions_are_refused_in_one_line(argv, message):
     # A fresh process, so a construction that starts building anyway fails

@@ -1,9 +1,12 @@
 """Enumeration, census, irreducibility, and tournament realization."""
 
+import gc
 import hashlib
 import itertools
 import math
 import random
+import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +21,7 @@ from ntdice import (
     Census,
     NotBalancedNontransitive,
     SidesTooSmall,
+    TooManyLabels,
     Tournament,
     TournamentSpecError,
     Word,
@@ -32,6 +36,8 @@ from ntdice import (
     word_count,
     word_of_dice,
 )
+from ntdice import construct
+from ntdice.search import _TAIL_WORDS, _tail_length
 
 # Frozen from the brute-force oracle (sympy enumeration + Fraction odds).
 ORACLE_CENSUS = {
@@ -79,6 +85,10 @@ def census_tuple(c: Census) -> tuple[int, int, int, int, int]:
     )
 
 
+def stream_digest(lines):
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
 # -- enumeration -------------------------------------------------------------------
 
 @pytest.mark.parametrize(
@@ -105,6 +115,43 @@ def test_iter_words_budget_is_eager():
     with pytest.raises(BudgetExceeded) as exc:
         iter_words(8, 3, budget=1000)
     assert exc.value.total_words == word_count(8, 3)
+
+
+# SHA-256 of each full word stream, lines joined by "\n", frozen from the
+# walk before it memoized its tail.
+WORD_STREAMS = {
+    (5, 3): "8ac74e6ca6223861d4ff24b95f20061c28865090b782e1615ed476a350b9c460",
+    (3, 4): "d3675cb7c28395e8e426a6443904fa777278b31572aa7323f4527f44d9307322",
+    (2, 5): "0808ebbc2f5bf20d4f4a9348ba02a537294ef1fbbd6fc092b405fa4c31e7650f",
+}
+
+
+@pytest.mark.parametrize("n,m", sorted(WORD_STREAMS))
+def test_iter_word_stream_is_pinned(n, m):
+    words = list(iter_words(n, m, budget=word_count(n, m)))
+    assert (len(words), stream_digest(words)) == (word_count(n, m), WORD_STREAMS[(n, m)])
+
+
+def test_iter_words_streams_in_bounded_memory():
+    # Eleven one-sided dice: a tail of t letters would hold t! suffixes, so
+    # the tail must shrink as the alphabet grows.
+    tracemalloc.start()
+    try:
+        for _ in itertools.islice(iter_words(1, 11), 200_000):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2 ** 20
+
+
+def test_tail_lists_have_a_fixed_bound():
+    # A tail of t letters has at most m^t completions.
+    for m in range(2, len(ALPHABET) + 1):
+        t = _tail_length(10 ** 6, m)
+        assert m ** t <= _TAIL_WORDS < m ** (t + 1)
+        for n in (1, 2):
+            assert _tail_length(n, m) == min(t, m * n - 1)
 
 
 @pytest.mark.parametrize(
@@ -381,6 +428,13 @@ def test_bnt_walk_n7_pinned():
     assert (words, irreducible) == (189783, 189567)
 
 
+@pytest.mark.slow
+def test_bnt_walk_n8_matches_census_dp():
+    budget = word_count(8, 3)
+    words = sum(1 for _ in balanced_nontransitive_words(8, 3, budget=budget))
+    assert words == enumerate_words(8, 3, budget=budget).balanced_nontransitive == 1813326
+
+
 # -- balanced-only scan ----------------------------------------------------------------
 
 def test_bnt_words_n3_pinned():
@@ -409,23 +463,51 @@ def test_bnt_scan_budget_is_eager():
         balanced_nontransitive_words(8, 3, budget=1000)
 
 
+def test_bnt_scan_streams_its_first_word():
+    # 60 letters: only one tail list is built before the first word.
+    start = time.perf_counter()
+    first = next(balanced_nontransitive_words(20, 3, budget=10 ** 40))
+    assert time.perf_counter() - start < 1
+    assert first == "aaaaaaaaababbbbbbbbcccccccccccbccccccccbbbbbbbbbbacaaaaaaaaa"
+
+
+def test_bnt_scan_frees_its_memo_without_gc():
+    # The tail memo must hold no reference cycle, or each listing's memo
+    # would stay alive until a full collection.
+    gc.disable()
+    tracemalloc.start()
+    try:
+        sizes = []
+        for _ in range(3):
+            for _ in balanced_nontransitive_words(6, 3):
+                pass
+            sizes.append(tracemalloc.get_traced_memory()[0])
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert abs(sizes[2] - sizes[0]) < 2 ** 19
+
+
 # SHA-256 of each balanced non-transitive word stream, lines joined by "\n".
 # Frozen so that any rewrite of the walker must keep its output
 # byte-identical; (6, 3) and (3, 4) are also pinned by the benchmark.
 BNT_STREAMS = {
     (5, 3): (915, "dd42c17400b27cd26be3d4e6d1eccc807397aa06306a4821c52748f0946b6d12"),
     (6, 3): (5730, "776edd5a307501bde0166063062c064b18fae0b3c711b596e944ae375c99b7c1"),
+    (7, 3): (189783, "3a2102de756b35dee77b3bb42ae65413f7f3976215b89febf6dfb3b2d3696aea"),
     (3, 4): (148, "f9a18327f02faea2fb0e8c67d5317567378fbb7acc30ce44160260aa8eb08456"),
     (4, 4): (1976, "c67c450044ffe2a4879462f6bf0a19a717b8fb53b87924ed8c72be9bbbe8a277"),
     (3, 5): (8680, "842d1ace41dca5ef6c8a460fdb66451e6bc2b289d6805e0524ad600d9f8d9a0b"),
 }
 
 
-def stream_digest(lines):
-    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
-
-
-@pytest.mark.parametrize("n,m", sorted(BNT_STREAMS))
+@pytest.mark.parametrize(
+    "n,m",
+    [
+        pytest.param(n, m, marks=[pytest.mark.slow] if n == 7 else [])
+        for n, m in sorted(BNT_STREAMS)
+    ],
+)
 def test_bnt_word_stream_is_pinned(n, m):
     words = list(balanced_nontransitive_words(n, m, budget=word_count(n, m)))
     assert (len(words), stream_digest(words)) == BNT_STREAMS[(n, m)]
@@ -573,6 +655,14 @@ def test_realize_k3_cyclic_needs_three_sides():
     t = Tournament.from_text("1>2,2>3,3>1")
     with pytest.raises(SidesTooSmall):
         realize_k3(t, 2)
+
+
+def test_realize_k3_refuses_more_than_max_labels(monkeypatch):
+    monkeypatch.setattr(construct, "MAX_LABELS", 30)
+    assert realize_k3(Tournament.from_text("1>2,2>3,1>3"), 10).n == 10
+    for text in ("1>2,2>3,1>3", "1>2,2>3,3>1"):
+        with pytest.raises(TooManyLabels, match="n=11, m=3 needs 33 labels, over the limit of 30"):
+            realize_k3(Tournament.from_text(text), 11)
 
 
 def test_realize_k3_rejects_other_sizes():
