@@ -11,6 +11,20 @@ threshold per state, counts the irreducible words too. Rotating the letters
 one state per rotation orbit with the orbit's total prefix count, about m
 times fewer states than one per rotation.
 
+Both the census and the balanced non-transitive scan prune by the dice's
+final cycle-win intervals: die x still places n - placed[x] letters, each
+winning between placed[succ x] and n rolls, so its final count lies in
+[cyc[x] + (n - placed[x])·placed[succ x], cyc[x] + (n - placed[x])·n].
+Placing a letter of x adds placed[succ x] to cyc[x] and one to placed[x],
+so only two ends move: x's upper end drops by n - placed[succ x] (the
+letter won placed[succ x] of the n rolls the end allowed it), and pred x's
+lower end rises by n - placed[pred x] (each of pred x's letters still to
+come now beats one more letter of x). x's lower end stays put, as the
+letter won exactly what the end had counted on, and no other die's
+interval changes. The DP therefore tests each successor of a state from
+that state's extremes and the two moved ends, and the scan steps its
+intervals in place rather than rebuilding them.
+
 Listing words, the balanced non-transitive scan and realization search
 share one iterative backtracker, ``_backtrack``, that visits words in
 lexicographic order. It owns the walk: it refuses an oversized space
@@ -333,9 +347,13 @@ def _census_counts(n: int, m: int) -> tuple[int, int, int, int]:
     kept as the flat pairs placed[0], cyc[0], ..., placed[m-1], cyc[m-1],
     plus ``thr``. Placing a letter of die x adds placed[succ x] to cyc[x]
     and depends on nothing else, so prefixes that share a state share their
-    completions. A state is dropped once its cycle-win intervals
-    (``_interval_bounds``) show it can end neither balanced nor
-    non-transitive, which is why the total comes from the closed form.
+    completions. A state is dropped once its cycle-win intervals show it
+    can end neither balanced nor non-transitive (they cannot meet, and some
+    upper end is short of n²//2 + 1), which is why the total comes from the
+    closed form. Each stored state's m intervals are computed once, as the
+    greatest lower end and the least upper end; a successor by die x
+    differs from them in two ends only (module docstring), x's upper end
+    and pred x's lower end, so each successor is tested from those two.
 
     Irreducibility is decided by the state too, by the rule of
     ``is_irreducible``: ``thr`` starts at n² + 1 and, at each cut where
@@ -360,7 +378,8 @@ def _census_counts(n: int, m: int) -> tuple[int, int, int, int]:
     nsq = n * n
     need = nsq // 2 + 1
     width = 2 * m
-    succ = [(x + 1) % m for x in range(m)]
+    # Each die's pair index, its successor's and its predecessor's.
+    dice = [(2 * x, 2 * ((x + 1) % m), 2 * ((x - 1) % m)) for x in range(m)]
     layer = {(0,) * width + (nsq + 1,): 1}
     for depth in range(m * n):
         j = depth // m
@@ -371,21 +390,39 @@ def _census_counts(n: int, m: int) -> tuple[int, int, int, int]:
             wins = state[1]
             if cut and 2 * wins > j * j and state[:width] == (j, wins) * m:
                 thr = min(thr, _cut_threshold(j, n, wins))
-            for at in range(0, width, 2):  # the pair of die at // 2
-                if state[at] == n:
+            low = 0  # the greatest lower end of the dice's intervals
+            high = nsq  # the least upper end
+            for at, s, _ in dice:
+                rem = n - state[at]
+                end = state[at + 1] + rem * state[s]
+                if end > low:
+                    low = end
+                end = state[at + 1] + rem * n
+                if end < high:
+                    high = end
+            for at, s, p in dice:
+                count = state[at]
+                if count == n:
                     continue
-                nxt = list(state[:width])  # the step of core._cycle_pass, inline
-                nxt[at + 1] += state[(at + 2) % width]
-                nxt[at] += 1
-                low, high = _interval_bounds(nxt[::2], nxt[1::2], n, succ)
-                if low > high and high < need:
+                gain = state[s]
+                # A letter of this die moves two ends only: its own upper end
+                # drops to ``top`` and its predecessor's lower end rises to
+                # ``bottom``.
+                top = state[at + 1] + gain + (n - count - 1) * n
+                if top > high:
+                    top = high
+                bottom = state[p + 1] + (n - state[p]) * (count + 1)
+                if bottom < low:
+                    bottom = low
+                if bottom > top and top < need:
                     continue
-                pairs = tuple(nxt)
+                pairs = state[:at] + (count + 1, state[at + 1] + gain) + state[at + 2:width]
                 key = pairs
                 for k in range(2, width, 2):
-                    turned = pairs[k:] + pairs[:k]
-                    if turned < key:
-                        key = turned
+                    if pairs[k] <= key[0]:  # else this rotation sorts later
+                        turned = pairs[k:] + pairs[:k]
+                        if turned < key:
+                            key = turned
                 key += (thr,)
                 following[key] = following.get(key, 0) + mass
         layer = following
@@ -403,30 +440,6 @@ def _census_counts(n: int, m: int) -> tuple[int, int, int, int]:
         if is_balanced:
             balanced += mass
     return balanced, nontransitive, bnt, irreducible
-
-
-def _interval_bounds(
-    placed: list[int], cyc: list[int], n: int, succ: list[int]
-) -> tuple[int, int]:
-    """(max lower, min upper) end of the dice's final cycle-win intervals.
-
-    Die x still places n - placed[x] letters, each winning at least
-    placed[succ x] and at most n, so its final cyc[x] lies in
-    [cyc[x] + rem·placed[succ x], cyc[x] + rem·n]. The dice can still end
-    balanced only if the intervals meet (low <= high), and non-transitive
-    only if every upper end clears n²/2.
-    """
-    low = 0
-    high = n * n
-    for x, wins in enumerate(cyc):
-        rem = n - placed[x]
-        lo = wins + rem * placed[succ[x]]
-        hi = wins + rem * n
-        if lo > low:
-            low = lo
-        if hi < high:
-            high = hi
-    return low, high
 
 
 def enumerate_words(
@@ -465,28 +478,48 @@ def balanced_nontransitive_words(
     needed. At a full word nothing is left to place, every interval is the
     die's final cycle-win count, and the same test passes exactly the
     balanced non-transitive words, so the walk yields nothing else.
+
+    The rule (``_bnt_rule``) keeps each die's interval ends beside its
+    cycle wins and steps them with every placement: the placed die's upper
+    end drops and its predecessor's lower end rises (module docstring), so
+    a push touches two ends and compares the extremes.
+    """
+    return _backtrack(n, m, budget, lambda placed: _bnt_rule(n, m, placed)[:3])
+
+
+def _bnt_rule(n: int, m: int, placed: list[int]):
+    """The scan's rule for ``_backtrack``, and the intervals it steps:
+    (push, pop, key, lo, hi).
+
+    lo[x] and hi[x] are the ends of die x's final cycle-win interval,
+    stepped as ``placed`` and ``cyc`` change, and ``push`` answers whether
+    they can no longer meet at one W with 2W > n².
     """
     need = n * n // 2 + 1
+    succ = [(x + 1) % m for x in range(m)]
+    cyc = [0] * m
+    lo = [0] * m
+    hi = [n * n] * m
 
-    def rule(placed: list[int]):
-        succ = [(x + 1) % m for x in range(m)]
-        cyc = [0] * m
+    # The step of ``core._cycle_pass`` and its inverse, inline for speed,
+    # with the two interval ends that move; lo[-1] is the predecessor of die 0.
+    def push(x: int) -> bool:
+        gain = placed[succ[x]]
+        cyc[x] += gain
+        hi[x] -= n - gain
+        lo[x - 1] += n - placed[x - 1]
+        return max(max(lo), need) > min(hi)
 
-        # The step of ``core._cycle_pass`` and its inverse, inline for speed.
-        def push(x: int) -> bool:
-            cyc[x] += placed[succ[x]]
-            low, high = _interval_bounds(placed, cyc, n, succ)
-            return max(low, need) > high
+    def pop(x: int) -> None:
+        gain = placed[succ[x]]
+        cyc[x] -= gain
+        hi[x] += n - gain
+        lo[x - 1] -= n - placed[x - 1]
 
-        def pop(x: int) -> None:
-            cyc[x] -= placed[succ[x]]
+    def key() -> tuple[int, ...]:
+        return tuple(cyc)
 
-        def key() -> tuple[int, ...]:
-            return tuple(cyc)
-
-        return push, pop, key
-
-    return _backtrack(n, m, budget, rule)
+    return push, pop, key, lo, hi
 
 
 def majority_digraph(dice_set: DiceSet) -> frozenset[tuple[int, int]]:
@@ -518,7 +551,7 @@ def realize_k3(tournament: Tournament, n: int) -> DiceSet:
     if tournament.m != 3:
         raise ValueError(f"closed form covers 3 vertices, got {tournament.m}")
     if n < 1:
-        raise SidesTooSmall(f"need at least one side, got {n}")
+        raise SidesTooSmall(f"need at least one side, got n={n}")
     _check_labels(n, 3)
     degrees = tournament.out_degrees()
     if sorted(degrees) == [1, 1, 1]:

@@ -509,6 +509,15 @@ def test_search_size_errors_are_usage_errors(run, argv):
 
 # -- realize ---------------------------------------------------------------------
 
+def test_realize_no_sides_is_one_refusal(run):
+    # The closed form (3 vertices) and the search (4) refuse n = 0 alike.
+    results = [
+        run(["realize", "--tournament", spec, "--sides", "0"])
+        for spec in ("1>2,2>3,3>1", "1>2,2>3,3>4,4>1,3>1,2>4")
+    ]
+    assert results == [(2, "", "error: need at least one side, got n=0\n")] * 2
+
+
 def test_realize_cycle_three_sides(run):
     code, out, _ = run(["realize", "--tournament", "1>2,2>3,3>1", "--sides", "3"])
     assert code == 0

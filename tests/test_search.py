@@ -37,7 +37,7 @@ from ntdice import (
     word_of_dice,
 )
 from ntdice import construct
-from ntdice.search import _TAIL_WORDS, _tail_length
+from ntdice.search import _TAIL_WORDS, _bnt_rule, _tail_length
 
 # Frozen from the brute-force oracle (sympy enumeration + Fraction odds).
 ORACLE_CENSUS = {
@@ -458,6 +458,51 @@ def test_bnt_scan_four_dice(n, m, count):
     assert len(list(balanced_nontransitive_words(n, m))) == count
 
 
+def scratch_intervals(placed, cyc, n):
+    """Each die's final cycle-win interval, from scratch: die x still places
+    n - placed[x] letters, each winning at least placed[succ x] and at most
+    n of its rolls against succ x."""
+    m = len(placed)
+    lo = [cyc[x] + (n - placed[x]) * placed[(x + 1) % m] for x in range(m)]
+    hi = [cyc[x] + (n - placed[x]) * n for x in range(m)]
+    return lo, hi
+
+
+@st.composite
+def words_of_any_size(draw):
+    m = draw(st.integers(2, 6))
+    n = draw(st.integers(1, 5))
+    letters = draw(st.permutations([x for x in range(m) for _ in range(n)]))
+    return n, m, letters
+
+
+@given(words_of_any_size())
+@settings(max_examples=200)
+def test_bnt_rule_steps_the_from_scratch_intervals(case):
+    # m = 2 is drawn too: there pred x = succ x, and both moved ends belong
+    # to that one other die.
+    n, m, letters = case
+    need = n * n // 2 + 1
+    placed = [0] * m
+    push, pop, key, lo, hi = _bnt_rule(n, m, placed)
+    cyc = [0] * m
+    seen = []
+    for x in letters:
+        cyc[x] += placed[(x + 1) % m]
+        placed[x] += 1
+        dead = push(x)
+        expected = scratch_intervals(placed, cyc, n)
+        assert (lo, hi) == expected
+        assert key() == tuple(cyc)
+        assert dead == (max(max(expected[0]), need) > min(expected[1]))
+        seen.append(expected)
+    for x in reversed(letters):
+        assert (lo, hi) == seen.pop()
+        placed[x] -= 1
+        pop(x)
+    assert (lo, hi) == scratch_intervals(placed, [0] * m, n)
+
+
 def test_bnt_scan_budget_is_eager():
     with pytest.raises(BudgetExceeded):
         balanced_nontransitive_words(8, 3, budget=1000)
@@ -498,6 +543,8 @@ BNT_STREAMS = {
     (3, 4): (148, "f9a18327f02faea2fb0e8c67d5317567378fbb7acc30ce44160260aa8eb08456"),
     (4, 4): (1976, "c67c450044ffe2a4879462f6bf0a19a717b8fb53b87924ed8c72be9bbbe8a277"),
     (3, 5): (8680, "842d1ace41dca5ef6c8a460fdb66451e6bc2b289d6805e0524ad600d9f8d9a0b"),
+    (2, 6): (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    (4, 2): (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
 }
 
 
