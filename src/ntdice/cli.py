@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import re
 import sys
 
 from .core import (
@@ -27,6 +26,7 @@ from .core import (
     DiceSet,
     WinOdds,
     Word,
+    _INTEGER,
     cycle_odds,
     dice_of_word,
     face_sums,
@@ -69,10 +69,6 @@ _CENSUS_FIELDS = (
     ("balanced_nontransitive", "balanced-nontransitive"),
     ("irreducible_bnt", "irreducible"),
 )
-
-# A row label: ASCII digits with an optional sign. int() alone also takes
-# underscores ('1_0') and non-ASCII digits ('١').
-_LABEL = re.compile(r"[+-]?[0-9]+")
 
 
 class InputError(DiceError):
@@ -158,7 +154,7 @@ def _parse_rows(text: str) -> DiceSet:
             labels = []
             for token in tail.split():
                 try:
-                    if not _LABEL.fullmatch(token):
+                    if not _INTEGER.fullmatch(token):
                         raise ValueError(token)
                     labels.append(int(token))  # ValueError past 4,300 digits
                 except ValueError:

@@ -26,6 +26,7 @@ about 36 ms, and records are built as fast as before.
 
 from __future__ import annotations
 
+import re
 from bisect import bisect_left
 from collections.abc import Iterator
 from enum import Enum
@@ -44,6 +45,11 @@ from .errors import (
 )
 
 ALPHABET = "abcdefghijklmnopqrstuvwxyz"
+
+# An integer as typed in a dice row or a tournament edge: ASCII digits with
+# an optional sign. int() alone also takes underscores ('1_0') and
+# non-ASCII digits ('١').
+_INTEGER = re.compile(r"[+-]?[0-9]+")
 
 
 class _Record:

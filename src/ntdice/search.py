@@ -2,51 +2,60 @@
 
 The census lists no words. Its total is the closed form, and whether a word
 is balanced or non-transitive depends only on its final cycle-win vector,
-so a layered transfer-matrix DP over (letters placed, cycle wins) per die
-counts those classes. Whether a balanced non-transitive word is irreducible
-depends only on that vector and on the cycle wins at each cut where every
-die has placed the same number of letters, so the same DP, carrying one
-threshold per state, counts the irreducible words too. Rotating the letters
-(x -> succ x) maps the cycle of dice onto itself, so each DP layer keeps
-one state per rotation orbit with the orbit's total prefix count, about m
-times fewer states than one per rotation.
+so a layered transfer-matrix DP over (letters placed, upper win end) per
+die counts those classes. Whether a balanced non-transitive word is
+irreducible depends only on that vector and on the cycle wins at each cut
+where every die has placed the same number of letters, so the same DP,
+carrying one threshold per state, counts the irreducible words too.
+Rotating the letters (x -> succ x) maps the cycle of dice onto itself, so
+each DP layer keeps one state per rotation orbit with the orbit's total
+prefix count, about m times fewer states than one per rotation.
 
-Both the census and the balanced non-transitive scan prune by the dice's
-final cycle-win intervals: die x still places n - placed[x] letters, each
-winning between placed[succ x] and n rolls, so its final count lies in
-[cyc[x] + (n - placed[x])·placed[succ x], cyc[x] + (n - placed[x])·n].
-Placing a letter of x adds placed[succ x] to cyc[x] and one to placed[x],
-so only two ends move: x's upper end drops by n - placed[succ x] (the
-letter won placed[succ x] of the n rolls the end allowed it), and pred x's
-lower end rises by n - placed[pred x] (each of pred x's letters still to
-come now beats one more letter of x). x's lower end stays put, as the
-letter won exactly what the end had counted on, and no other die's
-interval changes. The DP therefore tests each successor of a state from
-that state's extremes and the two moved ends, and the scan steps its
-intervals in place rather than rebuilding them.
+The census, the balanced non-transitive scan and realization search all
+prune with one bound and carry one state for it: ``placed``, each die's
+count of letters, plus ``hi``, the upper end of the wins a die can still
+end with over a die y it must beat (its cycle successor for the census and
+the scan, each die it beats in the tournament for realization). A letter
+beats every letter already placed, so each of the n - placed[x] letters x
+still places wins between placed[y] and n of its rolls against y, and
+
+    hi = wins so far + (n - placed[x])·n.
+
+Placing a letter of x wins it placed[y] rolls of the n the end allowed, so
+hi drops by n - placed[y] and no other die's end moves; once x's n letters
+are down, hi is its final win count, so a test that prunes a prefix on hi
+decides a full word exactly. The lower end needs no state of its own:
+
+    lo = hi - (n - placed[x])·(n - placed[y]).
+
+It stays put when x places a letter (the letter won exactly what the end
+counted on) and rises by n - placed[w] for the die w that must beat x
+(each of w's letters still to come now beats one more letter of x). The
+census and the scan want every cycle win to meet at one W with 2W > n², so
+from a state's extremes and the two ends a letter moves, the DP tests each
+successor and the scan steps hi and lo in place. Realization wants each
+required end to stay at n²//2 + 1 or above and needs no lower end.
 
 Listing words, the balanced non-transitive scan and realization search
 share one iterative backtracker, ``_backtrack``, that visits words in
 lexicographic order. It owns the walk: it refuses an oversized space
-before returning its generator, keeps the prefix's per-letter counts and
-spells the words it yields. Each caller brings only its rule: ``push``,
-run after every placement, updates the wins the caller derives from those
-counts and answers whether the prefix is dead, and ``pop`` undoes that
-update. The answer prunes inner nodes with sound bounds (cycle-win
-intervals for the scan, one win bound per required edge for realizations)
-and, with nothing left to place, is exact, so it also decides which full
-words are yielded.
+before returning its generator, keeps ``placed`` and spells the words it
+yields. Each caller brings only its rule: ``push``, run after every
+placement, steps the caller's ends and answers whether the prefix is dead,
+and ``pop`` undoes that step. The answer prunes inner nodes with the bound
+above and, with nothing left to place, is exact, so it also decides which
+full words are yielded.
 
-The listings share suffixes the way the census shares states. A rule may
-also give a ``key``, its state as a tuple (the cycle wins for the scan,
-nothing for ``iter_words``), so that a prefix's completions depend only
-on the letter counts plus that key. The walker then stops a few letters
-short of a word, at a depth fixed by (n, m), and yields the prefix
-followed by each completion of its state, a list built once per state and
-bounded in size. Realization passes no key: it wants only the first word,
-and a list is built whole before its first word comes out, so it walks
-every letter. Nothing runs in parallel, so results never depend on
-``jobs``, which is accepted and ignored.
+The listings share suffixes the way the census shares states. A rule
+names its ``ends``, the list it steps (``hi`` for the scan, an empty list
+for ``iter_words``), so that a prefix's completions depend only on
+``placed`` plus those ends. The walker then stops a few letters short of a
+word, at a depth fixed by (n, m), and yields the prefix followed by each
+completion of its state, a list built once per state and bounded in size.
+Realization names no ends: it wants only the first word, and a list is
+built whole before its first word comes out, so it walks every letter.
+Nothing runs in parallel, so results never depend on ``jobs``, which is
+accepted and ignored.
 """
 
 from __future__ import annotations
@@ -55,7 +64,16 @@ import math
 from collections.abc import Callable, Iterator
 
 from .construct import _check_labels, construct_balanced_nontransitive
-from .core import ALPHABET, DiceSet, Word, _Record, _cycle_pass, beat_count, dice_of_word
+from .core import (
+    ALPHABET,
+    DiceSet,
+    Word,
+    _INTEGER,
+    _Record,
+    _cycle_pass,
+    beat_count,
+    dice_of_word,
+)
 from .errors import (
     BudgetExceeded,
     ConstructionError,
@@ -122,11 +140,11 @@ class Tournament(_Record):
             token = token.strip()
             if not token:
                 continue
-            parts = token.split(">")
-            if len(parts) != 2:
-                raise TournamentSpecError(f"cannot parse edge {token!r}")
+            parts = [part.strip() for part in token.split(">")]
             try:
-                i, j = int(parts[0]), int(parts[1])
+                if len(parts) != 2 or not all(map(_INTEGER.fullmatch, parts)):
+                    raise ValueError(token)
+                i, j = int(parts[0]), int(parts[1])  # ValueError past 4,300 digits
             except ValueError:
                 raise TournamentSpecError(f"cannot parse edge {token!r}") from None
             if i < 1 or j < 1:
@@ -216,8 +234,8 @@ def is_irreducible(word: Word) -> bool:
 
 
 def _tail_length(n: int, m: int) -> int:
-    """Letters the memoized tail of a keyed walk covers: the largest t with
-    m^t <= _TAIL_WORDS, so no tail list holds more than _TAIL_WORDS
+    """Letters the memoized tail of a walk with ends covers: the largest t
+    with m^t <= _TAIL_WORDS, so no tail list holds more than _TAIL_WORDS
     suffixes, and at most mn - 1, so the top walk places a letter first."""
     t = 0
     while m ** (t + 1) <= _TAIL_WORDS:
@@ -226,15 +244,15 @@ def _tail_length(n: int, m: int) -> int:
 
 
 def _tail(
-    memo: dict, placed: list[int], n: int, push, pop, key, left: int
+    memo: dict, placed: list[int], n: int, push, pop, ends: list[int], left: int
 ) -> list[str]:
     """Every completion of the current prefix, ``left`` letters long, in
-    lexicographic order, built once per state ``placed`` + ``key()``.
+    lexicographic order, built once per state ``placed`` + ``ends``.
 
     A plain recursive function, not a closure, so ``memo`` is freed by
     reference counting as soon as the walk that owns it ends.
     """
-    state = tuple(placed) + key()
+    state = tuple(placed) + tuple(ends)
     found = memo.get(state)
     if found is None:
         found = []
@@ -246,7 +264,7 @@ def _tail(
             if not push(x):
                 if left:
                     head = ALPHABET[x]
-                    below = _tail(memo, placed, n, push, pop, key, left)
+                    below = _tail(memo, placed, n, push, pop, ends, left)
                     found += [head + suffix for suffix in below]
                 else:
                     found.append(ALPHABET[x])
@@ -266,35 +284,35 @@ def _backtrack(
     the walk. The walker owns ``placed``, the prefix's count of each
     letter, and only it changes them. ``rule(placed)`` is called once,
     after the check, so a caller builds its m-sized state only for sizes
-    the gate admits; it returns the caller's ``(push, pop, key)``. ``push``
-    and ``pop`` read ``placed`` and keep whatever the caller derives from
-    it. After each placement of letter x, the one that completes a word
-    included, the walker counts it in ``placed`` and calls ``push(x)``,
-    which updates the caller's state and answers whether the prefix is
+    the gate admits; it returns the caller's ``(push, pop, ends)``.
+    ``push`` and ``pop`` read ``placed`` and step the caller's ends (module
+    docstring). After each placement of letter x, the one that completes a
+    word included, the walker counts it in ``placed`` and calls
+    ``push(x)``, which steps the ends and answers whether the prefix is
     dead; before undoing a placement it uncounts it and calls ``pop(x)``.
     A true answer cuts the subtree below an inner node and drops a full
     word, so ``push`` is the one leaf rule: only full words where it is
     false are yielded, spelled as strings.
 
-    ``key`` is None for the plain walk: every word is walked to its last
+    ``ends`` None gives the plain walk: every word is walked to its last
     letter, with the caller's state at that leaf when it is yielded. A
-    caller whose ``push`` answers depend only on ``placed`` and on the
-    state that ``key()`` returns as a tuple passes ``key`` to memoize the
-    tail: a prefix's completions then depend only on ``placed`` + ``key()``.
-    The walk stops at depth top = mn - ``_tail_length(n, m)`` and yields
-    the prefix followed by each suffix of that state's completion list,
-    which ``_tail`` builds once, with the lists of the states below it, the
-    first time the state is reached. Under a fixed prefix the suffix order
-    is the word order, so the stream is the plain walk's. The memo belongs
-    to the walk and goes when the walk ends. A caller that wants only the
-    first word gains nothing from it, since the first list is built whole
-    before the first word comes out, so realization passes no key.
+    caller whose ``push`` answers depend only on ``placed`` and on the list
+    ``ends`` passes that list to memoize the tail: a prefix's completions
+    then depend only on ``placed`` + ``ends``. The walk stops at depth
+    top = mn - ``_tail_length(n, m)`` and yields the prefix followed by
+    each suffix of that state's completion list, which ``_tail`` builds
+    once, with the lists of the states below it, the first time the state
+    is reached. Under a fixed prefix the suffix order is the word order, so
+    the stream is the plain walk's. The memo belongs to the walk and goes
+    when the walk ends. A caller that wants only the first word gains
+    nothing from it, since the first list is built whole before the first
+    word comes out, so realization passes no ends.
     """
     _check_budget(n, m, budget)
     placed = [0] * m
-    push, pop, key = rule(placed)
+    push, pop, ends = rule(placed)
     mn = m * n
-    top = mn if key is None else mn - _tail_length(n, m)
+    top = mn if ends is None else mn - _tail_length(n, m)
 
     def walk() -> Iterator[str]:
         memo: dict = {}
@@ -320,11 +338,11 @@ def _backtrack(
                 if depth != top:
                     letter = 0
                     continue
-                if key is None:
+                if ends is None:
                     yield "".join([ALPHABET[x] for x in word])
                 else:
                     prefix = "".join([ALPHABET[x] for x in word[:top]])
-                    for suffix in _tail(memo, placed, n, push, pop, key, mn - top):
+                    for suffix in _tail(memo, placed, n, push, pop, ends, mn - top):
                         yield prefix + suffix
             depth -= 1
             placed[letter] -= 1
@@ -336,30 +354,34 @@ def _backtrack(
 
 def iter_words(n: int, m: int = 3, budget: int = DEFAULT_BUDGET) -> Iterator[str]:
     """Yield every word with n of each of the first m letters, lexicographically."""
-    no_rule = (lambda x: False, lambda x: None, lambda: ())
+    no_rule = (lambda x: False, lambda x: None, [])
     return _backtrack(n, m, budget, lambda placed: no_rule)
 
 
 def _census_counts(n: int, m: int) -> tuple[int, int, int, int]:
     """(balanced, non-transitive, balanced non-transitive, irreducible) counts.
 
-    A layered transfer-matrix DP over states (placed[x], cyc[x]) per die x,
-    kept as the flat pairs placed[0], cyc[0], ..., placed[m-1], cyc[m-1],
-    plus ``thr``. Placing a letter of die x adds placed[succ x] to cyc[x]
+    A layered transfer-matrix DP over states (placed[x], hi[x]) per die x,
+    kept as the flat pairs placed[0], hi[0], ..., placed[m-1], hi[m-1],
+    plus ``thr``; hi[x] starts at n² and is x's upper cycle-win end (module
+    docstring). Placing a letter of die x lowers hi[x] by n - placed[succ x]
     and depends on nothing else, so prefixes that share a state share their
     completions. A state is dropped once its cycle-win intervals show it
     can end neither balanced nor non-transitive (they cannot meet, and some
     upper end is short of n²//2 + 1), which is why the total comes from the
-    closed form. Each stored state's m intervals are computed once, as the
-    greatest lower end and the least upper end; a successor by die x
-    differs from them in two ends only (module docstring), x's upper end
-    and pred x's lower end, so each successor is tested from those two.
+    closed form. Each stored state's extremes are read once, the least
+    upper end and the greatest lower end, each die's lower end derived from
+    its hi; a successor by die x differs from them in two ends only, x's
+    upper end and pred x's lower end, so each successor is tested from
+    those two. In the last layer every die has placed n letters, so hi is
+    the cycle-win vector the final tests read.
 
     Irreducibility is decided by the state too, by the rule of
     ``is_irreducible``: ``thr`` starts at n² + 1 and, at each cut where
     every die has placed j letters and the prefix is balanced non-transitive
-    with wins Wp, drops to ``_cut_threshold(j, n, Wp)`` if that is lower. A
-    balanced non-transitive word is irreducible when its final wins W < thr.
+    with wins Wp = hi - (n - j)·n, drops to ``_cut_threshold(j, n, Wp)`` if
+    that is lower. A balanced non-transitive word is irreducible when its
+    final wins W < thr.
 
     Each layer keeps one state per orbit of the letter rotation
     rho: x -> succ x, keyed by the least rotation of its pairs, and stores
@@ -380,43 +402,39 @@ def _census_counts(n: int, m: int) -> tuple[int, int, int, int]:
     width = 2 * m
     # Each die's pair index, its successor's and its predecessor's.
     dice = [(2 * x, 2 * ((x + 1) % m), 2 * ((x - 1) % m)) for x in range(m)]
-    layer = {(0,) * width + (nsq + 1,): 1}
+    layer = {(0, nsq) * m + (nsq + 1,): 1}
     for depth in range(m * n):
         j = depth // m
         cut = j and depth == m * j
         following: dict[tuple[int, ...], int] = {}
         for state, mass in layer.items():
             thr = state[width]
-            wins = state[1]
-            if cut and 2 * wins > j * j and state[:width] == (j, wins) * m:
+            wins = state[1] - (n - j) * n
+            if cut and 2 * wins > j * j and state[:width] == (j, state[1]) * m:
                 thr = min(thr, _cut_threshold(j, n, wins))
             low = 0  # the greatest lower end of the dice's intervals
             high = nsq  # the least upper end
             for at, s, _ in dice:
-                rem = n - state[at]
-                end = state[at + 1] + rem * state[s]
-                if end > low:
-                    low = end
-                end = state[at + 1] + rem * n
+                end = state[at + 1]
                 if end < high:
                     high = end
+                end -= (n - state[at]) * (n - state[s])
+                if end > low:
+                    low = end
             for at, s, p in dice:
                 count = state[at]
                 if count == n:
                     continue
-                gain = state[s]
                 # A letter of this die moves two ends only: its own upper end
-                # drops to ``top`` and its predecessor's lower end rises to
-                # ``bottom``.
-                top = state[at + 1] + gain + (n - count - 1) * n
-                if top > high:
-                    top = high
-                bottom = state[p + 1] + (n - state[p]) * (count + 1)
-                if bottom < low:
-                    bottom = low
+                # drops to ``hi`` and its predecessor's lower end rises to
+                # ``lo``, so the successor's extremes are ``top`` and ``bottom``.
+                hi = state[at + 1] - n + state[s]
+                top = hi if hi < high else high
+                lo = state[p + 1] - (n - state[p]) * (n - count - 1)
+                bottom = lo if lo > low else low
                 if bottom > top and top < need:
                     continue
-                pairs = state[:at] + (count + 1, state[at + 1] + gain) + state[at + 2:width]
+                pairs = state[:at] + (count + 1, hi) + state[at + 2:width]
                 key = pairs
                 for k in range(2, width, 2):
                     if pairs[k] <= key[0]:  # else this rotation sorts later
@@ -479,47 +497,40 @@ def balanced_nontransitive_words(
     die's final cycle-win count, and the same test passes exactly the
     balanced non-transitive words, so the walk yields nothing else.
 
-    The rule (``_bnt_rule``) keeps each die's interval ends beside its
-    cycle wins and steps them with every placement: the placed die's upper
-    end drops and its predecessor's lower end rises (module docstring), so
-    a push touches two ends and compares the extremes.
+    The rule (``_bnt_rule``) keeps each die's interval ends and steps them
+    with every placement: the placed die's upper end drops and its
+    predecessor's lower end rises (module docstring), so a push touches two
+    ends and compares the extremes. The upper ends are the walk's state.
     """
     return _backtrack(n, m, budget, lambda placed: _bnt_rule(n, m, placed)[:3])
 
 
 def _bnt_rule(n: int, m: int, placed: list[int]):
     """The scan's rule for ``_backtrack``, and the intervals it steps:
-    (push, pop, key, lo, hi).
+    (push, pop, hi, lo).
 
-    lo[x] and hi[x] are the ends of die x's final cycle-win interval,
-    stepped as ``placed`` and ``cyc`` change, and ``push`` answers whether
-    they can no longer meet at one W with 2W > n².
+    hi[x] and lo[x] are the ends of die x's final cycle-win interval,
+    stepped as ``placed`` changes, and ``push`` answers whether they can no
+    longer meet at one W with 2W > n². ``hi`` alone, with ``placed``, is
+    the walk's state, so it is the rule's ``ends``.
     """
     need = n * n // 2 + 1
     succ = [(x + 1) % m for x in range(m)]
-    cyc = [0] * m
-    lo = [0] * m
     hi = [n * n] * m
+    lo = [0] * m
 
-    # The step of ``core._cycle_pass`` and its inverse, inline for speed,
-    # with the two interval ends that move; lo[-1] is the predecessor of die 0.
+    # The two interval ends a letter of x moves, and their inverse;
+    # lo[-1] is the predecessor of die 0.
     def push(x: int) -> bool:
-        gain = placed[succ[x]]
-        cyc[x] += gain
-        hi[x] -= n - gain
+        hi[x] -= n - placed[succ[x]]
         lo[x - 1] += n - placed[x - 1]
         return max(max(lo), need) > min(hi)
 
     def pop(x: int) -> None:
-        gain = placed[succ[x]]
-        cyc[x] -= gain
-        hi[x] += n - gain
+        hi[x] += n - placed[succ[x]]
         lo[x - 1] -= n - placed[x - 1]
 
-    def key() -> tuple[int, ...]:
-        return tuple(cyc)
-
-    return push, pop, key, lo, hi
+    return push, pop, hi, lo
 
 
 def majority_digraph(dice_set: DiceSet) -> frozenset[tuple[int, int]]:
@@ -585,52 +596,56 @@ def search_realization(
     """Lexicographically first dice set whose full majority digraph equals
     the tournament, or None when no n-sided realization exists.
 
-    Backtracking over words with one sound bound per required edge x -> y.
-    Placing a letter of x adds ``placed[y]`` to ``wins[x][y]``, for the y
-    that x must beat only, and the prefix is dead once some such row can
-    no longer reach ``need`` = n²//2 + 1, with at most n new wins for each
-    of x's n - placed[x] letters still to come:
-
-        wins[x][y] + (n - placed[x])·n < need.
-
-    A row changes only when its die places a letter, and after the die's
-    last letter the bound has no slack left and tests the row exactly, so
-    every word the walk yields realizes the tournament and the first one
-    is the answer.
+    Backtracking over words with one upper end per required edge x -> y
+    (``_edge_rule``): hi[x][y] = wins[x][y] + (n - placed[x])·n, the most
+    wins x can still end with over y. Placing a letter of x lowers it by
+    n - placed[y] and moves no other end, and the prefix is dead once some
+    end falls below ``need`` = n²//2 + 1. After x's last letter its ends
+    are its final wins, so every word the walk yields realizes the
+    tournament and the first one is the answer.
 
     No bound on a required loss is needed: it could never prune. For an
-    edge y -> x, wins[x][y] = placed[x]·placed[y] - wins[y][x], so x
-    passing (n² - 1)//2 wins over y is the same as
-    wins[y][x] + n² - placed[x]·placed[y] < need. Both wins[y][x] and
-    placed[y] last changed at y's last placement, where y's own bound
-    passed: wins[y][x] + (n - placed[y])·n >= need. As placed[x] <= n,
-    n² - placed[x]·placed[y] >= (n - placed[y])·n, so the loss bound holds
-    too; before y places anything, wins[x][y] = 0.
+    edge y -> x, x's final wins over y must stay at most n² - ``need``. Its
+    lower end there is wins[x][y] + (n - placed[x])·placed[y], and as the
+    two dice's wins over each other sum to placed[x]·placed[y], that lower
+    end is n² - hi[y][x]. So the loss bound fails exactly when y's own end
+    falls below ``need``. That end moves only when y places a letter, and
+    y's push then tests it, so a live prefix never breaks the loss bound.
+    """
+    m = tournament.m
+    walk = _backtrack(n, m, budget, lambda placed: _edge_rule(tournament, n, placed)[:3])
+    word = next(walk, None)
+    return None if word is None else dice_of_word(Word(word, m))
+
+
+def _edge_rule(tournament: Tournament, n: int, placed: list[int]):
+    """Realization's rule for ``_backtrack``, and the ends it steps:
+    (push, pop, None, hi).
+
+    hi[x][y], for each edge x -> y of the tournament, is the upper end of
+    x's final wins over y; ``push`` answers whether an end of the placed
+    die fell below n²//2 + 1. The walker pushes only onto live prefixes,
+    and no other end moved, so that is whether any end did. The rule's
+    ends are None: realization wants only the first word, so its walk is
+    not memoized.
     """
     m = tournament.m
     need = n * n // 2 + 1
+    beaten = [[y for y in range(m) if tournament.beats(x, y)] for x in range(m)]
+    hi = [[n * n] * m for _ in range(m)]
 
-    def rule(placed: list[int]):
-        beaten = [[y for y in range(m) if tournament.beats(x, y)] for x in range(m)]
-        wins = [[0] * m for _ in range(m)]
+    def push(x: int) -> bool:
+        row = hi[x]
+        dead = False
+        for y in beaten[x]:
+            row[y] -= n - placed[y]
+            if row[y] < need:
+                dead = True
+        return dead
 
-        # The step of ``core._cycle_pass`` over the required edges, inline.
-        def push(x: int) -> bool:
-            row = wins[x]
-            low = need - (n - placed[x]) * n
-            dead = False
-            for y in beaten[x]:
-                row[y] += placed[y]
-                if row[y] < low:
-                    dead = True
-            return dead
+    def pop(x: int) -> None:
+        row = hi[x]
+        for y in beaten[x]:
+            row[y] += n - placed[y]
 
-        def pop(x: int) -> None:
-            row = wins[x]
-            for y in beaten[x]:
-                row[y] -= placed[y]
-
-        return push, pop, None
-
-    word = next(_backtrack(n, m, budget, rule), None)
-    return None if word is None else dice_of_word(Word(word, m))
+    return push, pop, None, hi

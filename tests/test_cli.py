@@ -543,6 +543,23 @@ def test_realize_contradictory_spec(run):
     assert "contradictory" in err
 
 
+@pytest.mark.parametrize(
+    "spec,edge",
+    [
+        # ARABIC-INDIC DIGITS ONE, TWO and THREE
+        ("\u0661>\u0662,\u0662>\u0663,\u0663>\u0661", "\u0661>\u0662"),
+        ("1>2,2>3,3>1_0", "3>1_0"),
+    ],
+    ids=["arabic-indic", "underscore"],
+)
+def test_realize_vertices_are_ascii_integers(run, spec, edge):
+    # The grammar of a row label: int() alone would read the first spec as
+    # the 3-cycle and the second as naming vertex 10.
+    code, out, err = run(["realize", "--tournament", spec, "--sides", "3"])
+    assert_usage_error(code, out, err)
+    assert err == f"error: cannot parse edge {edge!r}\n"
+
+
 def test_realize_cyclic_too_few_sides(run):
     code, _, err = run(["realize", "--tournament", "1>2,2>3,3>1", "--sides", "2"])
     assert code == 2

@@ -26,6 +26,8 @@ from ntdice import (
     TournamentSpecError,
     Word,
     balanced_nontransitive_words,
+    cycle_beat_counts,
+    dice_of_word,
     enumerate_words,
     is_irreducible,
     iter_words,
@@ -33,11 +35,12 @@ from ntdice import (
     realize_k3,
     search_realization,
     validate_dice,
+    verify,
     word_count,
     word_of_dice,
 )
 from ntdice import construct
-from ntdice.search import _TAIL_WORDS, _bnt_rule, _tail_length
+from ntdice.search import _TAIL_WORDS, _bnt_rule, _edge_rule, _tail_length
 
 # Frozen from the brute-force oracle (sympy enumeration + Fraction odds).
 ORACLE_CENSUS = {
@@ -326,6 +329,51 @@ def test_census_matches_plain_dp(n, m):
     assert got == plain_dp_census(n, m)
 
 
+def pruned_dp_nontransitive(n: int, m: int) -> int:
+    """Non-transitive words from a layered DP over every state (letters
+    placed per die, cycle wins per die), written here: it keeps each
+    rotation of a state apart and drops a state once the die just placed
+    cannot reach n²//2 + 1 cycle wins even if each of its letters still to
+    come beats all n letters of the next die. Such a state cannot end
+    non-transitive, and in a full word the bound is the die's final count,
+    so the words kept are exactly the non-transitive ones."""
+    need = n * n // 2 + 1
+    layer = {(0,) * (2 * m): 1}
+    for _ in range(m * n):
+        following: dict[tuple[int, ...], int] = {}
+        for state, ways in layer.items():
+            for x in range(m):
+                if state[x] == n:
+                    continue
+                nxt = list(state)
+                nxt[m + x] += state[(x + 1) % m]
+                nxt[x] += 1
+                if nxt[m + x] + (n - nxt[x]) * n < need:
+                    continue
+                key = tuple(nxt)
+                following[key] = following.get(key, 0) + ways
+        layer = following
+    return sum(layer.values())
+
+
+# Sizes past the plain DP's reach, where only the census DP and this route
+# count non-transitive words.
+@pytest.mark.parametrize(
+    "n,m,count",
+    [
+        (7, 3, 2093199),
+        (8, 3, 19618353),
+        (5, 4, 13969444),
+        (4, 5, 4203700),
+        (3, 6, 9751680),
+        pytest.param(9, 3, 960165789, marks=pytest.mark.slow),
+    ],
+)
+def test_census_nontransitive_matches_pruned_dp(n, m, count):
+    census = enumerate_words(n, m, budget=word_count(n, m))
+    assert census.nontransitive == pruned_dp_nontransitive(n, m) == count
+
+
 def equal_face_sum_partitions(n: int) -> int:
     """Ordered splits of 1..3n into three n-label dice with equal face-sums,
     counted by a DP over labels that never looks at a word."""
@@ -403,9 +451,8 @@ def test_is_irreducible_matches_cut_check(n, m):
 
 def test_census_n7_pinned():
     # Second routes: the closed form for the total, the face-sum partition
-    # count for balanced, the slow BNT walk below for BNT and irreducible.
-    # Non-transitive (2,093,199 by the DP) stays unpinned: only the DP
-    # counts it.
+    # count for balanced, the slow BNT walk below for BNT and irreducible;
+    # non-transitive is pinned against the pruned DP above.
     c = enumerate_words(7, 3, budget=10 ** 9)
     assert (c.total_words, c.balanced, c.balanced_nontransitive, c.irreducible_bnt) == (
         399072960,
@@ -484,7 +531,7 @@ def test_bnt_rule_steps_the_from_scratch_intervals(case):
     n, m, letters = case
     need = n * n // 2 + 1
     placed = [0] * m
-    push, pop, key, lo, hi = _bnt_rule(n, m, placed)
+    push, pop, hi, lo = _bnt_rule(n, m, placed)
     cyc = [0] * m
     seen = []
     for x in letters:
@@ -493,7 +540,7 @@ def test_bnt_rule_steps_the_from_scratch_intervals(case):
         dead = push(x)
         expected = scratch_intervals(placed, cyc, n)
         assert (lo, hi) == expected
-        assert key() == tuple(cyc)
+        assert [hi[z] - (n - placed[z]) * n for z in range(m)] == cyc
         assert dead == (max(max(expected[0]), need) > min(expected[1]))
         seen.append(expected)
     for x in reversed(letters):
@@ -501,6 +548,63 @@ def test_bnt_rule_steps_the_from_scratch_intervals(case):
         placed[x] -= 1
         pop(x)
     assert (lo, hi) == scratch_intervals(placed, [0] * m, n)
+
+
+@st.composite
+def tournaments_and_words(draw):
+    m = draw(st.integers(2, 6))
+    n = draw(st.integers(1, 4))
+    edges = [
+        (x, y) if draw(st.booleans()) else (y, x)
+        for x in range(m)
+        for y in range(x + 1, m)
+    ]
+    letters = draw(st.permutations([x for x in range(m) for _ in range(n)]))
+    return n, Tournament.from_edges(m, edges), letters
+
+
+@given(tournaments_and_words())
+@settings(max_examples=200)
+def test_edge_rule_steps_each_required_end(case):
+    # Each required edge x -> y keeps the upper end of x's final wins over
+    # y: its wins so far, counted here, plus n for each letter x still places.
+    n, tournament, letters = case
+    m = tournament.m
+    need = n * n // 2 + 1
+    placed = [0] * m
+    push, pop, ends, hi = _edge_rule(tournament, n, placed)
+    assert ends is None
+    wins = [[0] * m for _ in range(m)]
+
+    def expected_ends():
+        return {(x, y): wins[x][y] + (n - placed[x]) * n for x, y in tournament.edges}
+
+    def rule_ends():
+        return {(x, y): hi[x][y] for x, y in tournament.edges}
+
+    seen = []
+    alive = True
+    for x in letters:
+        for y in range(m):
+            wins[x][y] += placed[y]
+        placed[x] += 1
+        dead = push(x)
+        expected = expected_ends()
+        assert rule_ends() == expected
+        # Only the placed die's ends moved, so the answer reads those; the
+        # walker pushes only onto live prefixes, where that is every end.
+        assert dead == any(end < need for (z, _), end in expected.items() if z == x)
+        if alive:
+            assert dead == any(end < need for end in expected.values())
+        alive = alive and not dead
+        seen.append(expected)
+    for x in reversed(letters):
+        assert rule_ends() == seen.pop()
+        placed[x] -= 1
+        for y in range(m):
+            wins[x][y] -= placed[y]
+        pop(x)
+    assert rule_ends() == expected_ends() == dict.fromkeys(tournament.edges, n * n)
 
 
 def test_bnt_scan_budget_is_eager():
@@ -580,6 +684,27 @@ def test_bnt_scan_is_closed_under_reflection(n, m, fixed):
     for w, image in zip(words, images):
         assert is_irreducible(Word(image, m)) == is_irreducible(Word(w, m))
     assert sum(w == image for w, image in zip(words, images)) == fixed
+
+
+@st.composite
+def words_up_to_six_sides(draw):
+    m = draw(st.integers(2, 6))
+    n = draw(st.integers(1, 6))
+    letters = draw(st.permutations([ALPHABET[x] for x in range(m) for _ in range(n)]))
+    return "".join(letters), m
+
+
+@given(words_up_to_six_sides())
+@settings(max_examples=200)
+def test_reflection_keeps_verdict_and_cycle_wins(case):
+    # On any word, not only balanced non-transitive ones: the reflection
+    # permutes the cycle wins among the dice, so the verdict is kept.
+    letters, m = case
+    dice, image = (dice_of_word(Word(w, m)) for w in (letters, reflect(letters, m)))
+    verdict, mirrored = verify(dice), verify(image)
+    assert mirrored.classification is verdict.classification
+    assert mirrored.witness_odds == verdict.witness_odds
+    assert sorted(cycle_beat_counts(image)) == sorted(cycle_beat_counts(dice))
 
 
 # -- irreducibility ----------------------------------------------------------------------
