@@ -36,6 +36,17 @@ from a state's extremes and the two ends a letter moves, the DP tests each
 successor and the scan steps hi and lo in place. Realization wants each
 required end to stay at n²//2 + 1 or above and needs no lower end.
 
+The census DP also forgets what can no longer change its counts. A state
+whose intervals cannot meet can only end non-transitive, and stays so,
+since upper ends only fall and lower ends only rise; the DP marks it. For a
+marked state the one question left is whether each die ends at n²//2 + 1
+or above, and a die whose lower end has reached that answers it whatever
+follows. Its upper end is clamped at the end whose lower end is exactly
+n²//2 + 1, so states that will finish the same way merge. A letter of x
+moves x's end and x's cap together, so after the first clamp only the
+predecessor's end needs it. Both the mark and the cap read only a die's
+and its successor's counts, so they commute with the rotation quotient.
+
 Listing words, the balanced non-transitive scan and realization search
 share one iterative backtracker, ``_backtrack``, that visits words in
 lexicographic order. It owns the walk: it refuses an oversized space
@@ -368,13 +379,34 @@ def _census_counts(n: int, m: int) -> tuple[int, int, int, int]:
     and depends on nothing else, so prefixes that share a state share their
     completions. A state is dropped once its cycle-win intervals show it
     can end neither balanced nor non-transitive (they cannot meet, and some
-    upper end is short of n²//2 + 1), which is why the total comes from the
-    closed form. Each stored state's extremes are read once, the least
-    upper end and the greatest lower end, each die's lower end derived from
-    its hi; a successor by die x differs from them in two ends only, x's
-    upper end and pred x's lower end, so each successor is tested from
-    those two. In the last layer every die has placed n letters, so hi is
-    the cycle-win vector the final tests read.
+    upper end is short of need = n²//2 + 1), which is why the total comes
+    from the closed form. Each stored state's extremes are read once, the
+    least upper end and the greatest lower end, each die's lower end
+    derived from its hi; a successor by die x differs from them in two ends
+    only, x's upper end and pred x's lower end, so each successor is tested
+    from those two. In the last layer every die has placed n letters, so hi
+    is the cycle-win vector the final tests read.
+
+    A successor whose intervals cannot meet can no longer end balanced. It
+    survives only if every upper end still reaches need, and it is stored
+    marked, with ``thr`` = 0 (a real threshold is at least 1). The mark is
+    permanent, since upper ends only fall and lower ends only rise. In a
+    marked state the one question left for each die is whether it ends at
+    need or above, and a die whose lower end has reached need answers it
+    whatever follows. So its upper end is clamped at the cap
+
+        need + (n - placed[x])·(n - placed[succ x]),
+
+    the least upper end whose lower end is need: hi[x] exceeds the cap
+    exactly when x's lower end exceeds need. The clamped end's lower end,
+    need, never falls afterwards, so the final test gives the same answer,
+    and states that differ only in such ends merge. A state is clamped on
+    every die when it is first marked. After that, a letter of x lowers
+    x's upper end and x's cap by the same n - placed[succ x] and raises
+    only pred x's lower end, so only pred x's end is clamped. A marked
+    state is dropped as soon as some upper end falls below need, skips the
+    cut rule, and is tallied as non-transitive only: its clamped ends may
+    look equal, so it is never tested for balance.
 
     Irreducibility is decided by the state too, by the rule of
     ``is_irreducible``: ``thr`` starts at n² + 1 and, at each cut where
@@ -392,7 +424,9 @@ def _census_counts(n: int, m: int) -> tuple[int, int, int, int]:
     the representative alone by every letter, carrying the orbit's total
     mass, therefore adds exactly the right mass to each successor orbit.
     The prune, the cut rule and the final tests see only rotation-invariant
-    facts (extremes over all dice, all dice equal), and no mass is ever
+    facts (extremes over all dice, all dice equal), the mark is one such
+    fact and each die's cap reads only its own and its successor's counts,
+    so marking and clamping commute with rotation too. No mass is ever
     divided by an orbit's size, so orbits shorter than m (the start state,
     balanced cuts, periodic states when m is composite) need no special
     case.
@@ -409,18 +443,21 @@ def _census_counts(n: int, m: int) -> tuple[int, int, int, int]:
         following: dict[tuple[int, ...], int] = {}
         for state, mass in layer.items():
             thr = state[width]
-            wins = state[1] - (n - j) * n
-            if cut and 2 * wins > j * j and state[:width] == (j, state[1]) * m:
-                thr = min(thr, _cut_threshold(j, n, wins))
-            low = 0  # the greatest lower end of the dice's intervals
-            high = nsq  # the least upper end
-            for at, s, _ in dice:
-                end = state[at + 1]
-                if end < high:
-                    high = end
-                end -= (n - state[at]) * (n - state[s])
-                if end > low:
-                    low = end
+            if thr:
+                wins = state[1] - (n - j) * n
+                if cut and 2 * wins > j * j and state[:width] == (j, state[1]) * m:
+                    thr = min(thr, _cut_threshold(j, n, wins))
+                low = 0  # the greatest lower end of the dice's intervals
+                high = nsq  # the least upper end
+                for at, s, _ in dice:
+                    end = state[at + 1]
+                    if end < high:
+                        high = end
+                    end -= (n - state[at]) * (n - state[s])
+                    if end > low:
+                        low = end
+            else:
+                high = min(state[1:width:2])
             for at, s, p in dice:
                 count = state[at]
                 if count == n:
@@ -430,22 +467,45 @@ def _census_counts(n: int, m: int) -> tuple[int, int, int, int]:
                 # ``lo``, so the successor's extremes are ``top`` and ``bottom``.
                 hi = state[at + 1] - n + state[s]
                 top = hi if hi < high else high
-                lo = state[p + 1] - (n - state[p]) * (n - count - 1)
-                bottom = lo if lo > low else low
-                if bottom > top and top < need:
+                mark = thr
+                if thr:
+                    lo = state[p + 1] - (n - state[p]) * (n - count - 1)
+                    bottom = lo if lo > low else low
+                    if bottom > top:
+                        mark = 0  # it can no longer end balanced
+                if not mark and top < need:
                     continue
                 pairs = state[:at] + (count + 1, hi) + state[at + 2:width]
+                if not thr:
+                    # Marked already: only pred x's lower end rose, so only
+                    # its upper end can have passed its cap.
+                    cap = need + (n - state[p]) * (n - count - 1)
+                    if state[p + 1] > cap:
+                        pairs = pairs[:p + 1] + (cap,) + pairs[p + 2:]
+                elif not mark:
+                    # Marked just now: clamp every die's upper end.
+                    ends = list(pairs)
+                    for a, b, _ in dice:
+                        cap = need + (n - ends[a]) * (n - ends[b])
+                        if ends[a + 1] > cap:
+                            ends[a + 1] = cap
+                    pairs = tuple(ends)
                 key = pairs
                 for k in range(2, width, 2):
                     if pairs[k] <= key[0]:  # else this rotation sorts later
                         turned = pairs[k:] + pairs[:k]
                         if turned < key:
                             key = turned
-                key += (thr,)
+                key += (mark,)
                 following[key] = following.get(key, 0) + mass
         layer = following
     balanced = nontransitive = bnt = irreducible = 0
     for state, mass in layer.items():
+        if not state[-1]:
+            # Marked: its last step found every end at need or above. Its
+            # clamped ends may look equal, so it is never tested for balance.
+            nontransitive += mass
+            continue
         cyc = state[1:width:2]
         low = min(cyc)
         is_balanced = low == max(cyc)

@@ -8,8 +8,6 @@ loaded machine does not flip a deterministic result.
 import random
 import time
 
-import pytest
-
 from ntdice import (
     BASE_QUADS,
     BASE_TRIPLES,
@@ -209,7 +207,6 @@ def test_criterion_9_four_dice_examples():
     report(9, "quad cycle odds 5/9, 9/16, 13/25; 3-sided quad balanced with unequal face-sums")
 
 
-@pytest.mark.slow
 def test_criterion_10a_verify_large_set_is_fast():
     rng = random.Random(3000)
     labels = list(range(1, 9001))
@@ -230,7 +227,6 @@ def test_criterion_10a_verify_large_set_is_fast():
     )
 
 
-@pytest.mark.slow
 def test_criterion_10b_census_n6_under_budget_and_deterministic():
     start = time.perf_counter()
     serial = enumerate_words(6, 3, jobs=1)

@@ -367,6 +367,7 @@ def pruned_dp_nontransitive(n: int, m: int) -> int:
         (4, 5, 4203700),
         (3, 6, 9751680),
         pytest.param(9, 3, 960165789, marks=pytest.mark.slow),
+        pytest.param(3, 7, 2644957462, marks=pytest.mark.slow),
     ],
 )
 def test_census_nontransitive_matches_pruned_dp(n, m, count):
