@@ -134,7 +134,9 @@ def fibonacci_savage(k: int) -> DiceSet:
 
     Labels 3*f(k) down to 1 are dealt out in blocks of sizes
     f(k-2), f(k-1), f(k), f(k-1), f(k-2) to dice a, b, c, a, b. The result
-    is non-transitive for every k >= 4 but never balanced.
+    is non-transitive for every k >= 4 but never balanced. Each row comes
+    out descending and the rows hold every label once, so they form a
+    ``DiceSet`` as they stand, with no ``validate_dice`` pass.
     """
     if k < 4:
         raise IndexTooSmall(f"need k >= 4 so every block is nonempty, got {k}")
@@ -143,10 +145,9 @@ def fibonacci_savage(k: int) -> DiceSet:
     rows: list[list[int]] = [[], [], []]
     label = 3 * f_k
     for size, owner in zip((f_k2, f_k1, f_k, f_k1, f_k2), owners):
-        for _ in range(size):
-            rows[owner].append(label)
-            label -= 1
-    return validate_dice(rows)
+        rows[owner] += range(label, label - size, -1)
+        label -= size
+    return DiceSet(tuple(map(tuple, rows)))
 
 
 def fibonacci_boundary_swap(k: int) -> DiceSet:
@@ -155,14 +156,17 @@ def fibonacci_boundary_swap(k: int) -> DiceSet:
     Exchanges label 3*f(k) - f(k-2) + 1 (the smallest in die a's top block)
     with 3*f(k) - f(k-2) (the largest on die b). The swap only evens out the
     face-sums for odd k >= 5; k = 4 gives (13, 17, 15) and k = 8 gives
-    (670, 674, 672). ``fibonacci_balanced`` applies the gate.
+    (670, 674, 672). ``fibonacci_balanced`` applies the gate. Each label
+    keeps its place in its die's descending order (a's next label lies in
+    its lower block, b's top label stays its largest), so the rows still
+    form a ``DiceSet`` as they stand.
     """
     base = fibonacci_savage(k)
     top_b = base.dice[1][0]
     rows = [list(row) for row in base.dice]
     rows[0][rows[0].index(top_b + 1)] = top_b
     rows[1][rows[1].index(top_b)] = top_b + 1
-    return validate_dice(rows)
+    return DiceSet(tuple(map(tuple, rows)))
 
 
 def fibonacci_balanced(k: int) -> DiceSet:

@@ -31,14 +31,31 @@ decides a full word exactly. The lower end needs no state of its own:
 It stays put when x places a letter (the letter won exactly what the end
 counted on) and rises by n - placed[w] for the die w that must beat x
 (each of w's letters still to come now beats one more letter of x). The
-census and the scan want every cycle win to meet at one W with 2W > n², so
-from a state's extremes and the two ends a letter moves, the DP tests each
-successor and the scan steps hi and lo in place. Realization wants each
+scan wants every cycle win to meet at one W with 2W > n², the census at
+one W >= ceil(n²/2) (below), so from a state's extremes and the two ends a
+letter moves, the DP tests each successor and the scan steps hi and lo in
+place. Realization wants each
 required end to stay at n²//2 + 1 or above and needs no lower end.
 
-The census DP also forgets what can no longer change its counts. A state
-whose intervals cannot meet can only end non-transitive, and stays so,
-since upper ends only fall and lower ends only rise; the DP marks it. For a
+The census DP needs only the upper half of the balanced spectrum. The
+letter reflection sigma: x -> -x mod m maps a word's cycle-win vector c to
+
+    c'[y] = n² - c[-y-1],
+
+since die y of the image holds the letters of die -y, its successor those
+of die -y-1, and each of the n² rolls of two dice is won by exactly one of
+them. So sigma maps the balanced words with common win count W one-to-one
+onto those with n² - W, and
+
+    balanced = 2·(balanced non-transitive) + fair,
+
+where a fair word has 2W = n², which needs n even. The DP therefore asks
+only whether the intervals can still meet at some W >= ceil(n²/2).
+
+It also forgets what can no longer change its counts. A state whose
+intervals cannot meet at such a W can end balanced only below n²/2 or not
+at all, and stays so, since upper ends only fall and lower ends only rise;
+the DP marks it and keeps it only for the non-transitive count. For a
 marked state the one question left is whether each die ends at n²//2 + 1
 or above, and a die whose lower end has reached that answers it whatever
 follows. Its upper end is clamped at the end whose lower end is exactly
@@ -46,6 +63,8 @@ n²//2 + 1, so states that will finish the same way merge. A letter of x
 moves x's end and x's cap together, so after the first clamp only the
 predecessor's end needs it. Both the mark and the cap read only a die's
 and its successor's counts, so they commute with the rotation quotient.
+An unmarked state in the last layer is then a balanced word with W at or
+above ceil(n²/2), so the final tally needs no balance test.
 
 Listing words, the balanced non-transitive scan and realization search
 share one iterative backtracker, ``_backtrack``, that visits words in
@@ -377,23 +396,34 @@ def _census_counts(n: int, m: int) -> tuple[int, int, int, int]:
     plus ``thr``; hi[x] starts at n² and is x's upper cycle-win end (module
     docstring). Placing a letter of die x lowers hi[x] by n - placed[succ x]
     and depends on nothing else, so prefixes that share a state share their
-    completions. A state is dropped once its cycle-win intervals show it
-    can end neither balanced nor non-transitive (they cannot meet, and some
-    upper end is short of need = n²//2 + 1), which is why the total comes
-    from the closed form. Each stored state's extremes are read once, the
-    least upper end and the greatest lower end, each die's lower end
-    derived from its hi; a successor by die x differs from them in two ends
-    only, x's upper end and pred x's lower end, so each successor is tested
-    from those two. In the last layer every die has placed n letters, so hi
-    is the cycle-win vector the final tests read.
+    completions. The DP counts only the upper half of the balanced words,
+    those whose common win count W is at least half = ceil(n²/2): the
+    letter reflection maps the balanced words at W one-to-one onto those at
+    n² - W (module docstring), so the lower half mirrors the balanced
+    non-transitive words and
 
-    A successor whose intervals cannot meet can no longer end balanced. It
-    survives only if every upper end still reaches need, and it is stored
-    marked, with ``thr`` = 0 (a real threshold is at least 1). The mark is
-    permanent, since upper ends only fall and lower ends only rise. In a
-    marked state the one question left for each die is whether it ends at
-    need or above, and a die whose lower end has reached need answers it
-    whatever follows. So its upper end is clamped at the cap
+        balanced = 2·bnt + fair,
+
+    with fair the words at 2W = n². A state is dropped once its cycle-win
+    intervals show it can end neither balanced at such a W nor
+    non-transitive (they cannot meet at or above half, and some upper end
+    is short of need = n²//2 + 1), which is why the total comes from the
+    closed form. Each stored state's extremes are read once, the least
+    upper end and the greatest lower end, each die's lower end derived from
+    its hi, and the greatest lower end starts at half; a successor by die x
+    differs from them in two ends only, x's upper end and pred x's lower
+    end, so each successor is tested from those two. In the last layer
+    every die has placed n letters, so hi is the cycle-win vector, and an
+    unmarked state's ends all equal one W >= half: it is balanced with no
+    test, balanced non-transitive when 2W > n² and fair otherwise.
+
+    A successor whose intervals cannot meet at or above half can no longer
+    end balanced there. It survives only if every upper end still reaches
+    need, and it is stored marked, with ``thr`` = 0 (a real threshold is at
+    least 1). The mark is permanent, since upper ends only fall and lower
+    ends only rise. In a marked state the one question left for each die is
+    whether it ends at need or above, and a die whose lower end has reached
+    need answers it whatever follows. So its upper end is clamped at the cap
 
         need + (n - placed[x])·(n - placed[succ x]),
 
@@ -423,7 +453,7 @@ def _census_counts(n: int, m: int) -> tuple[int, int, int, int]:
     the successors of a rotated state are the rotated successors. Stepping
     the representative alone by every letter, carrying the orbit's total
     mass, therefore adds exactly the right mass to each successor orbit.
-    The prune, the cut rule and the final tests see only rotation-invariant
+    The prune, the cut rule and the final tally see only rotation-invariant
     facts (extremes over all dice, all dice equal), the mark is one such
     fact and each die's cap reads only its own and its successor's counts,
     so marking and clamping commute with rotation too. No mass is ever
@@ -433,9 +463,11 @@ def _census_counts(n: int, m: int) -> tuple[int, int, int, int]:
     """
     nsq = n * n
     need = nsq // 2 + 1
+    half = (nsq + 1) // 2
     width = 2 * m
     # Each die's pair index, its successor's and its predecessor's.
     dice = [(2 * x, 2 * ((x + 1) % m), 2 * ((x - 1) % m)) for x in range(m)]
+    turns = range(2, width, 2)
     layer = {(0, nsq) * m + (nsq + 1,): 1}
     for depth in range(m * n):
         j = depth // m
@@ -444,10 +476,11 @@ def _census_counts(n: int, m: int) -> tuple[int, int, int, int]:
         for state, mass in layer.items():
             thr = state[width]
             if thr:
-                wins = state[1] - (n - j) * n
-                if cut and 2 * wins > j * j and state[:width] == (j, state[1]) * m:
-                    thr = min(thr, _cut_threshold(j, n, wins))
-                low = 0  # the greatest lower end of the dice's intervals
+                if cut:
+                    wins = state[1] - (n - j) * n
+                    if 2 * wins > j * j and state[:width] == (j, state[1]) * m:
+                        thr = min(thr, _cut_threshold(j, n, wins))
+                low = half  # the greatest lower end, and at least ⌈n²/2⌉
                 high = nsq  # the least upper end
                 for at, s, _ in dice:
                     end = state[at + 1]
@@ -472,7 +505,7 @@ def _census_counts(n: int, m: int) -> tuple[int, int, int, int]:
                     lo = state[p + 1] - (n - state[p]) * (n - count - 1)
                     bottom = lo if lo > low else low
                     if bottom > top:
-                        mark = 0  # it can no longer end balanced
+                        mark = 0  # it can no longer end balanced at W >= half
                 if not mark and top < need:
                     continue
                 pairs = state[:at] + (count + 1, hi) + state[at + 2:width]
@@ -491,7 +524,7 @@ def _census_counts(n: int, m: int) -> tuple[int, int, int, int]:
                             ends[a + 1] = cap
                     pairs = tuple(ends)
                 key = pairs
-                for k in range(2, width, 2):
+                for k in turns:
                     if pairs[k] <= key[0]:  # else this rotation sorts later
                         turned = pairs[k:] + pairs[:k]
                         if turned < key:
@@ -499,25 +532,24 @@ def _census_counts(n: int, m: int) -> tuple[int, int, int, int]:
                 key += (mark,)
                 following[key] = following.get(key, 0) + mass
         layer = following
-    balanced = nontransitive = bnt = irreducible = 0
+    fair = nontransitive = bnt = irreducible = 0
     for state, mass in layer.items():
-        if not state[-1]:
+        thr = state[-1]
+        if not thr:
             # Marked: its last step found every end at need or above. Its
             # clamped ends may look equal, so it is never tested for balance.
             nontransitive += mass
             continue
-        cyc = state[1:width:2]
-        low = min(cyc)
-        is_balanced = low == max(cyc)
-        if 2 * low > nsq:
+        # Unmarked: every end is the common final W, and W >= half.
+        wins = state[1]
+        if 2 * wins > nsq:
             nontransitive += mass
-            if is_balanced:
-                bnt += mass
-                if low < state[-1]:
-                    irreducible += mass
-        if is_balanced:
-            balanced += mass
-    return balanced, nontransitive, bnt, irreducible
+            bnt += mass
+            if wins < thr:
+                irreducible += mass
+        else:
+            fair += mass
+    return 2 * bnt + fair, nontransitive, bnt, irreducible
 
 
 def enumerate_words(
@@ -527,7 +559,10 @@ def enumerate_words(
 
     No word is walked to count it: the total is the closed form and the
     balanced, non-transitive, balanced non-transitive and irreducible
-    counts all come from the DP in ``_census_counts``. ``jobs`` is accepted
+    counts all come from the DP in ``_census_counts``. The balanced count
+    is 2·(balanced non-transitive) + fair: the letter reflection
+    x -> -x mod m pairs each balanced word at common win count W with one
+    at n² - W, so the DP counts only W >= ceil(n²/2). ``jobs`` is accepted
     for compatibility and ignored.
     """
     total = _check_budget(n, m, budget)

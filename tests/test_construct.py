@@ -281,6 +281,14 @@ def test_boundary_swap_fails_at_even_indices(k, expected_sums):
     assert face_sums(fibonacci_boundary_swap(k)) == expected_sums
 
 
+def test_fibonacci_rows_are_valid_dice_sets():
+    # Both constructions build their DiceSet without validate_dice, so their
+    # rows must already be what validate_dice would return.
+    for k in range(4, 26):
+        for d in (fibonacci_savage(k), fibonacci_boundary_swap(k)):
+            assert validate_dice(d.dice) == d, k
+
+
 def test_fibonacci_balanced_k5():
     d = fibonacci_balanced(5)
     assert face_sums(d) == (40, 40, 40)

@@ -317,6 +317,47 @@ def plain_dp_census(n: int, m: int) -> tuple[int, int, int]:
     return balanced, nontransitive, bnt
 
 
+def plain_dp_balanced_spectrum(n: int, m: int) -> dict[int, int]:
+    """Balanced words by their common cycle win count W, from a variant of
+    ``plain_dp_census`` written here: every state (letters placed per die,
+    cycle wins per die), each rotation kept apart, nothing pruned, and the
+    whole spectrum kept, W < n²/2 included."""
+    layer = {(0,) * (2 * m): 1}
+    for _ in range(m * n):
+        following: dict[tuple[int, ...], int] = {}
+        for state, ways in layer.items():
+            for x in range(m):
+                if state[x] == n:
+                    continue
+                nxt = list(state)
+                nxt[m + x] += state[(x + 1) % m]
+                nxt[x] += 1
+                key = tuple(nxt)
+                following[key] = following.get(key, 0) + ways
+        layer = following
+    spectrum: dict[int, int] = {}
+    for state, ways in layer.items():
+        if min(state[m:]) == max(state[m:]):
+            spectrum[state[m]] = spectrum.get(state[m], 0) + ways
+    return spectrum
+
+
+@pytest.mark.parametrize(
+    "n,m", [(4, 3), (6, 3), (2, 6), pytest.param(4, 4, marks=pytest.mark.slow)]
+)
+def test_census_balanced_is_twice_bnt_plus_fair(n, m):
+    # The census DP counts only W >= n²/2 and doubles the part above it; a
+    # DP over the whole spectrum shows it mirrored about n²/2.
+    nsq = n * n
+    spectrum = plain_dp_balanced_spectrum(n, m)
+    assert all(spectrum.get(nsq - w) == ways for w, ways in spectrum.items())
+    bnt = sum(ways for w, ways in spectrum.items() if 2 * w > nsq)
+    fair = sum(ways for w, ways in spectrum.items() if 2 * w == nsq)
+    c = enumerate_words(n, m, budget=word_count(n, m))
+    assert (c.balanced, c.balanced_nontransitive) == (sum(spectrum.values()), bnt)
+    assert c.balanced == 2 * bnt + fair
+
+
 # Past the brute-force limit; at m = 4 and 6 some states repeat under a
 # shorter rotation than m, so their orbits have fewer than m members.
 @pytest.mark.parametrize(
@@ -706,6 +747,30 @@ def test_reflection_keeps_verdict_and_cycle_wins(case):
     assert mirrored.classification is verdict.classification
     assert mirrored.witness_odds == verdict.witness_odds
     assert sorted(cycle_beat_counts(image)) == sorted(cycle_beat_counts(dice))
+
+
+def cycle_wins_by_hand(letters: str, m: int) -> list[int]:
+    """Each die's wins over its cycle successor, counted here."""
+    seen = [0] * m
+    wins = [0] * m
+    for ch in letters:
+        x = ord(ch) - 97
+        wins[x] += seen[(x + 1) % m]
+        seen[x] += 1
+    return wins
+
+
+@given(words_up_to_six_sides())
+@settings(max_examples=200)
+def test_letter_reflection_mirrors_the_cycle_wins(case):
+    # The lemma behind the census's balanced = 2·BNT + fair: mapping each
+    # die x to die -x mod m, word order kept, gives die y the wins
+    # n² - c[-y-1], so balanced words at W go to balanced words at n² - W.
+    letters, m = case
+    n = len(letters) // m
+    image = "".join(ALPHABET[-ALPHABET.index(ch) % m] for ch in letters)
+    c = cycle_wins_by_hand(letters, m)
+    assert cycle_wins_by_hand(image, m) == [n * n - c[(-y - 1) % m] for y in range(m)]
 
 
 # -- irreducibility ----------------------------------------------------------------------
