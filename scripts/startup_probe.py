@@ -16,6 +16,7 @@ commands (the bare import excluded).
 """
 
 import argparse
+import ast
 import hashlib
 import json
 import os
@@ -25,18 +26,23 @@ import subprocess
 import sys
 import tempfile
 import time
+from pathlib import Path
 
 IMPORT = ("import ntdice.cli",)
-FIXED = [
-    ("verify", "acbbaccba"),
-    ("gen", "--sides", "3000", "--dice", "3", "--format", "json"),
-    ("gen", "--sides", "3000", "--dice", "4", "--format", "json"),
-    ("fib", "--k", "21", "--balanced"),
-    ("search", "--sides", "4", "--count"),
-    ("search", "--sides", "3", "--list", "--irreducible-only"),
-    ("realize", "--tournament", "1>2,2>3,3>1", "--sides", "5"),
-    ("realize", "--tournament", "1>2,2>3,3>4,4>1,3>1,2>4", "--sides", "3"),
-]
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+
+
+def fixed_commands():
+    """The argv of each entry in the benchmark's ``CLI_FIXED`` list, parsed
+    from its source, not imported, so this script stays in step with it."""
+    tree = ast.parse(WORKLOADS.read_text(encoding="utf-8"))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "CLI_FIXED"
+            for target in node.targets
+        ):
+            return [argv for argv, _, _ in ast.literal_eval(node.value)]
+    sys.exit(f"no CLI_FIXED assignment in {WORKLOADS}")
 
 
 def command_of(shape):
@@ -103,7 +109,7 @@ def main() -> None:
             parser.error(f"{root} holds no ntdice package")
 
     with tempfile.TemporaryDirectory() as workdir:
-        shapes = [IMPORT, *verify_inputs(roots[0], workdir, 3000), *FIXED]
+        shapes = [IMPORT, *verify_inputs(roots[0], workdir, 3000), *fixed_commands()]
         walls = {(shape, root): [] for shape in shapes for root in roots}
         totals = {root: [] for root in roots}
         outputs = {}

@@ -103,6 +103,7 @@ from .core import (
     _cycle_pass,
     beat_count,
     dice_of_word,
+    reorder_dice,
 )
 from .errors import (
     BudgetExceeded,
@@ -665,14 +666,10 @@ def realize_k3(tournament: Tournament, n: int) -> DiceSet:
             raise SidesTooSmall(
                 f"a cyclic tournament needs at least 3 sides, got {n}"
             )
-        base = construct_balanced_nontransitive(n, 3)
-        # Walk the cycle from vertex 0 and hand out base dice in beat order.
-        die_for_vertex = [0] * 3
-        vertex = 0
-        for die in range(3):
-            die_for_vertex[vertex] = die
-            vertex = next(j for j in range(3) if tournament.beats(vertex, j))
-        result = DiceSet(tuple(base.dice[die_for_vertex[v]] for v in range(3)))
+        # The base set's cycle is a > b > c > a; the other 3-cycle swaps b and c.
+        result = construct_balanced_nontransitive(n, 3)
+        if not tournament.beats(0, 1):
+            result = reorder_dice(result, (0, 2, 1))
     else:
         # Total order: out-degree ranks strength; strongest takes the top block.
         rows = []

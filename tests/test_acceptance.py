@@ -8,6 +8,7 @@ loaded machine does not flip a deterministic result.
 import random
 import time
 
+import oracle
 from ntdice import (
     BASE_QUADS,
     BASE_TRIPLES,
@@ -49,10 +50,6 @@ def report(number, text):
     print(f"criterion {number}: PASS - {text}")
 
 
-def brute_beats(xs, ys):
-    return sum(1 for u in xs for v in ys if u > v)
-
-
 def test_criterion_1_classic_example_reproduction():
     dice = validate_dice([[9, 5, 1], [8, 4, 3], [7, 6, 2]])
     verdict = verify(dice)
@@ -87,7 +84,7 @@ def test_criterion_3_face_sum_theorem_exhaustive():
             rows = ([], [], [])
             for pos, ch in enumerate(letters, 1):
                 rows[ord(ch) - 97].append(pos)
-            wins = [brute_beats(rows[i], rows[(i + 1) % 3]) for i in range(3)]
+            wins = [oracle.beats(rows[i], rows[(i + 1) % 3]) for i in range(3)]
             balanced = wins[0] == wins[1] == wins[2]
             sums_equal = sum(rows[0]) == sum(rows[1]) == sum(rows[2])
             if balanced != sums_equal:

@@ -1,5 +1,6 @@
 """Enumeration, census, irreducibility, and tournament realization."""
 
+import functools
 import gc
 import hashlib
 import itertools
@@ -254,19 +255,25 @@ def test_bnt_set_closed_under_letter_rotation(n):
 
 # -- DP census vs independent routes -------------------------------------------------
 
+def cycle_wins_by_hand(letters: str, m: int) -> list[int]:
+    """Each die's wins over its cycle successor, counted here."""
+    seen = [0] * m
+    wins = [0] * m
+    for ch in letters:
+        x = ord(ch) - 97
+        wins[x] += seen[(x + 1) % m]
+        seen[x] += 1
+    return wins
+
+
 def brute_census(n: int, m: int) -> tuple[int, int, int, int]:
     """(total, balanced, non-transitive, BNT) from every word of iter_words,
     with cycle wins counted per word here rather than by the package."""
     nsq = n * n
-    succ = {chr(97 + x): chr(97 + (x + 1) % m) for x in range(m)}
     counts = [0, 0, 0, 0]
     for letters in iter_words(n, m, budget=word_count(n, m)):
-        seen = dict.fromkeys(succ, 0)
-        wins = dict.fromkeys(succ, 0)
-        for ch in letters:
-            wins[ch] += seen[succ[ch]]
-            seen[ch] += 1
-        low, high = min(wins.values()), max(wins.values())
+        wins = cycle_wins_by_hand(letters, m)
+        low, high = min(wins), max(wins)
         counts[0] += 1
         counts[1] += low == high
         counts[2] += 2 * low > nsq
@@ -290,11 +297,21 @@ def test_census_matches_brute_force(n, m):
     assert got == brute_census(n, m)
 
 
-def plain_dp_census(n: int, m: int) -> tuple[int, int, int]:
-    """(balanced, non-transitive, BNT) from a layered DP over every state
+@functools.cache
+def final_cycle_wins(n: int, m: int, prune: bool = False) -> dict[tuple[int, ...], int]:
+    """Words by their cycle wins per die, from a layered DP over every state
     (letters placed per die, cycle wins per die), written here: it keeps
-    each rotation of a state apart and prunes nothing."""
-    nsq = n * n
+    each rotation of a state apart, and returns the last layer as {cycle
+    wins: word count}. Cached, so callers share the dict and must not
+    change it.
+
+    With ``prune`` it drops a state once the die just placed cannot reach
+    n²//2 + 1 cycle wins even if each of its letters still to come beats
+    all n letters of the next die. Such a state cannot end non-transitive,
+    and in a full word the bound is the die's final count, so the words
+    kept are exactly the non-transitive ones. Without it nothing is pruned.
+    """
+    need = n * n // 2 + 1
     layer = {(0,) * (2 * m): 1}
     for _ in range(m * n):
         following: dict[tuple[int, ...], int] = {}
@@ -305,12 +322,20 @@ def plain_dp_census(n: int, m: int) -> tuple[int, int, int]:
                 nxt = list(state)
                 nxt[m + x] += state[(x + 1) % m]
                 nxt[x] += 1
+                if prune and nxt[m + x] + (n - nxt[x]) * n < need:
+                    continue
                 key = tuple(nxt)
                 following[key] = following.get(key, 0) + ways
         layer = following
+    return {state[m:]: ways for state, ways in layer.items()}
+
+
+def plain_dp_census(n: int, m: int) -> tuple[int, int, int]:
+    """(balanced, non-transitive, BNT) from the unpruned reference DP."""
+    nsq = n * n
     balanced = nontransitive = bnt = 0
-    for state, ways in layer.items():
-        low, high = min(state[m:]), max(state[m:])
+    for wins, ways in final_cycle_wins(n, m).items():
+        low, high = min(wins), max(wins)
         balanced += ways * (low == high)
         nontransitive += ways * (2 * low > nsq)
         bnt += ways * (low == high and 2 * low > nsq)
@@ -318,27 +343,12 @@ def plain_dp_census(n: int, m: int) -> tuple[int, int, int]:
 
 
 def plain_dp_balanced_spectrum(n: int, m: int) -> dict[int, int]:
-    """Balanced words by their common cycle win count W, from a variant of
-    ``plain_dp_census`` written here: every state (letters placed per die,
-    cycle wins per die), each rotation kept apart, nothing pruned, and the
-    whole spectrum kept, W < n²/2 included."""
-    layer = {(0,) * (2 * m): 1}
-    for _ in range(m * n):
-        following: dict[tuple[int, ...], int] = {}
-        for state, ways in layer.items():
-            for x in range(m):
-                if state[x] == n:
-                    continue
-                nxt = list(state)
-                nxt[m + x] += state[(x + 1) % m]
-                nxt[x] += 1
-                key = tuple(nxt)
-                following[key] = following.get(key, 0) + ways
-        layer = following
+    """Balanced words by their common cycle win count W, from the unpruned
+    reference DP: the whole spectrum, W < n²/2 included."""
     spectrum: dict[int, int] = {}
-    for state, ways in layer.items():
-        if min(state[m:]) == max(state[m:]):
-            spectrum[state[m]] = spectrum.get(state[m], 0) + ways
+    for wins, ways in final_cycle_wins(n, m).items():
+        if min(wins) == max(wins):
+            spectrum[wins[0]] = spectrum.get(wins[0], 0) + ways
     return spectrum
 
 
@@ -371,30 +381,8 @@ def test_census_matches_plain_dp(n, m):
 
 
 def pruned_dp_nontransitive(n: int, m: int) -> int:
-    """Non-transitive words from a layered DP over every state (letters
-    placed per die, cycle wins per die), written here: it keeps each
-    rotation of a state apart and drops a state once the die just placed
-    cannot reach n²//2 + 1 cycle wins even if each of its letters still to
-    come beats all n letters of the next die. Such a state cannot end
-    non-transitive, and in a full word the bound is the die's final count,
-    so the words kept are exactly the non-transitive ones."""
-    need = n * n // 2 + 1
-    layer = {(0,) * (2 * m): 1}
-    for _ in range(m * n):
-        following: dict[tuple[int, ...], int] = {}
-        for state, ways in layer.items():
-            for x in range(m):
-                if state[x] == n:
-                    continue
-                nxt = list(state)
-                nxt[m + x] += state[(x + 1) % m]
-                nxt[x] += 1
-                if nxt[m + x] + (n - nxt[x]) * n < need:
-                    continue
-                key = tuple(nxt)
-                following[key] = following.get(key, 0) + ways
-        layer = following
-    return sum(layer.values())
+    """Non-transitive words from the reference DP with its prune."""
+    return sum(final_cycle_wins(n, m, prune=True).values())
 
 
 # Sizes past the plain DP's reach, where only the census DP and this route
@@ -452,15 +440,15 @@ def test_bnt_walk_matches_census_dp(n, m, count):
 
 
 def is_bnt_by_hand(letters: str, m: int) -> bool:
-    """Balanced non-transitive test with cycle wins counted here."""
+    """Balanced non-transitive test with cycle wins counted here; a cut's
+    halves must also hold n letters of every die."""
     n = len(letters) // m
-    seen = [0] * m
-    wins = [0] * m
-    for ch in letters:
-        x = ord(ch) - 97
-        wins[x] += seen[(x + 1) % m]
-        seen[x] += 1
-    return seen == [n] * m and min(wins) == max(wins) and 2 * wins[0] > n * n
+    wins = cycle_wins_by_hand(letters, m)
+    return (
+        min(wins) == max(wins)
+        and 2 * wins[0] > n * n
+        and all(letters.count(ALPHABET[x]) == n for x in range(m))
+    )
 
 
 def irreducible_by_hand(letters: str, m: int) -> bool:
@@ -747,17 +735,6 @@ def test_reflection_keeps_verdict_and_cycle_wins(case):
     assert mirrored.classification is verdict.classification
     assert mirrored.witness_odds == verdict.witness_odds
     assert sorted(cycle_beat_counts(image)) == sorted(cycle_beat_counts(dice))
-
-
-def cycle_wins_by_hand(letters: str, m: int) -> list[int]:
-    """Each die's wins over its cycle successor, counted here."""
-    seen = [0] * m
-    wins = [0] * m
-    for ch in letters:
-        x = ord(ch) - 97
-        wins[x] += seen[(x + 1) % m]
-        seen[x] += 1
-    return wins
 
 
 @given(words_up_to_six_sides())
