@@ -59,10 +59,11 @@ the DP marks it and keeps it only for the non-transitive count. For a
 marked state the one question left is whether each die ends at n²//2 + 1
 or above, and a die whose lower end has reached that answers it whatever
 follows. Its upper end is clamped at the end whose lower end is exactly
-n²//2 + 1, so states that will finish the same way merge. A letter of x
-moves x's end and x's cap together, so after the first clamp only the
-predecessor's end needs it. Both the mark and the cap read only a die's
-and its successor's counts, so they commute with the rotation quotient.
+n²//2 + 1, so states that will finish the same way merge. Each step
+recomputes the mark and clamps every die of a marked successor, so
+marked and unmarked states take one update. Both the mark and the cap
+read only a die's and its successor's counts, so they commute with the
+rotation quotient.
 An unmarked state in the last layer is then a balanced word with W at or
 above ceil(n²/2), so the final tally needs no balance test.
 
@@ -83,7 +84,8 @@ for ``iter_words``), so that a prefix's completions depend only on
 word, at a depth fixed by (n, m), and yields the prefix followed by each
 completion of its state, a list built once per state and bounded in size.
 Realization names no ends: it wants only the first word, and a list is
-built whole before its first word comes out, so it walks every letter.
+built whole before its first word comes out, so it walks every letter and
+stops at the full word, whose one completion is the empty suffix.
 Nothing runs in parallel, so results never depend on ``jobs``, which is
 accepted and ignored.
 """
@@ -278,27 +280,28 @@ def _tail(
     memo: dict, placed: list[int], n: int, push, pop, ends: list[int], left: int
 ) -> list[str]:
     """Every completion of the current prefix, ``left`` letters long, in
-    lexicographic order, built once per state ``placed`` + ``ends``.
+    lexicographic order, built once per state ``placed`` + ``ends``: each
+    live letter followed by each completion one letter shorter. A full
+    word's one completion is the empty suffix, returned before ``ends`` is
+    read, so a walk with no ends calls it too.
 
     A plain recursive function, not a closure, so ``memo`` is freed by
     reference counting as soon as the walk that owns it ends.
     """
+    if not left:
+        return [""]
     state = tuple(placed) + tuple(ends)
     found = memo.get(state)
     if found is None:
         found = []
-        left -= 1
         for x, count in enumerate(placed):
             if count == n:
                 continue
             placed[x] = count + 1
             if not push(x):
-                if left:
-                    head = ALPHABET[x]
-                    below = _tail(memo, placed, n, push, pop, ends, left)
-                    found += [head + suffix for suffix in below]
-                else:
-                    found.append(ALPHABET[x])
+                head = ALPHABET[x]
+                below = _tail(memo, placed, n, push, pop, ends, left - 1)
+                found += [head + suffix for suffix in below]
             placed[x] = count
             pop(x)
         memo[state] = found
@@ -325,19 +328,21 @@ def _backtrack(
     word, so ``push`` is the one leaf rule: only full words where it is
     false are yielded, spelled as strings.
 
-    ``ends`` None gives the plain walk: every word is walked to its last
-    letter, with the caller's state at that leaf when it is yielded. A
-    caller whose ``push`` answers depend only on ``placed`` and on the list
-    ``ends`` passes that list to memoize the tail: a prefix's completions
-    then depend only on ``placed`` + ``ends``. The walk stops at depth
-    top = mn - ``_tail_length(n, m)`` and yields the prefix followed by
-    each suffix of that state's completion list, which ``_tail`` builds
-    once, with the lists of the states below it, the first time the state
-    is reached. Under a fixed prefix the suffix order is the word order, so
-    the stream is the plain walk's. The memo belongs to the walk and goes
-    when the walk ends. A caller that wants only the first word gains
-    nothing from it, since the first list is built whole before the first
-    word comes out, so realization passes no ends.
+    Every walk stops at a depth ``top`` and yields the prefix followed by
+    each suffix of the completion list ``_tail`` gives for the mn - top
+    letters left. ``ends`` None gives the plain walk: top = mn, so every
+    word is walked to its last letter, with the caller's state at that leaf
+    when it is yielded, and its one suffix is the empty one. A caller whose
+    ``push`` answers depend only on ``placed`` and on the list ``ends``
+    passes that list to memoize the tail: a prefix's completions then
+    depend only on ``placed`` + ``ends``. The walk then stops at
+    top = mn - ``_tail_length(n, m)``, and ``_tail`` builds each state's
+    list once, with the lists of the states below it, the first time the
+    state is reached. Under a fixed prefix the suffix order is the word
+    order, so the stream is the plain walk's. The memo belongs to the walk
+    and goes when the walk ends. A caller that wants only the first word
+    gains nothing from it, since the first list is built whole before the
+    first word comes out, so realization passes no ends.
     """
     _check_budget(n, m, budget)
     placed = [0] * m
@@ -369,12 +374,9 @@ def _backtrack(
                 if depth != top:
                     letter = 0
                     continue
-                if ends is None:
-                    yield "".join([ALPHABET[x] for x in word])
-                else:
-                    prefix = "".join([ALPHABET[x] for x in word[:top]])
-                    for suffix in _tail(memo, placed, n, push, pop, ends, mn - top):
-                        yield prefix + suffix
+                prefix = "".join([ALPHABET[x] for x in word[:top]])
+                for suffix in _tail(memo, placed, n, push, pop, ends, mn - top):
+                    yield prefix + suffix
             depth -= 1
             placed[letter] -= 1
             pop(letter)
@@ -413,10 +415,11 @@ def _census_counts(n: int, m: int) -> tuple[int, int, int, int]:
     upper end and the greatest lower end, each die's lower end derived from
     its hi, and the greatest lower end starts at half; a successor by die x
     differs from them in two ends only, x's upper end and pred x's lower
-    end, so each successor is tested from those two. In the last layer
-    every die has placed n letters, so hi is the cycle-win vector, and an
-    unmarked state's ends all equal one W >= half: it is balanced with no
-    test, balanced non-transitive when 2W > n² and fair otherwise.
+    end, so each successor is tested from those two, marked or not. In the
+    last layer every die has placed n letters, so hi is the cycle-win
+    vector, and an unmarked state's ends all equal one W >= half: it is
+    balanced with no test, balanced non-transitive when 2W > n² and fair
+    otherwise.
 
     A successor whose intervals cannot meet at or above half can no longer
     end balanced there. It survives only if every upper end still reaches
@@ -431,11 +434,10 @@ def _census_counts(n: int, m: int) -> tuple[int, int, int, int]:
     the least upper end whose lower end is need: hi[x] exceeds the cap
     exactly when x's lower end exceeds need. The clamped end's lower end,
     need, never falls afterwards, so the final test gives the same answer,
-    and states that differ only in such ends merge. A state is clamped on
-    every die when it is first marked. After that, a letter of x lowers
-    x's upper end and x's cap by the same n - placed[succ x] and raises
-    only pred x's lower end, so only pred x's end is clamped. A marked
-    state is dropped as soon as some upper end falls below need, skips the
+    and states that differ only in such ends merge. Every marked successor
+    is clamped on every die, whether this step marked it or an earlier
+    one. A marked state keeps ``thr`` = 0, so its successors stay marked;
+    it is dropped as soon as some upper end falls below need, skips the
     cut rule, and is tallied as non-transitive only: its clamped ends may
     look equal, so it is never tested for balance.
 
@@ -476,22 +478,19 @@ def _census_counts(n: int, m: int) -> tuple[int, int, int, int]:
         following: dict[tuple[int, ...], int] = {}
         for state, mass in layer.items():
             thr = state[width]
-            if thr:
-                if cut:
-                    wins = state[1] - (n - j) * n
-                    if 2 * wins > j * j and state[:width] == (j, state[1]) * m:
-                        thr = min(thr, _cut_threshold(j, n, wins))
-                low = half  # the greatest lower end, and at least ⌈n²/2⌉
-                high = nsq  # the least upper end
-                for at, s, _ in dice:
-                    end = state[at + 1]
-                    if end < high:
-                        high = end
-                    end -= (n - state[at]) * (n - state[s])
-                    if end > low:
-                        low = end
-            else:
-                high = min(state[1:width:2])
+            if thr and cut:
+                wins = state[1] - (n - j) * n
+                if 2 * wins > j * j and state[:width] == (j, state[1]) * m:
+                    thr = min(thr, _cut_threshold(j, n, wins))
+            low = half  # the greatest lower end, and at least ⌈n²/2⌉
+            high = nsq  # the least upper end
+            for at, s, _ in dice:
+                end = state[at + 1]
+                if end < high:
+                    high = end
+                end -= (n - state[at]) * (n - state[s])
+                if end > low:
+                    low = end
             for at, s, p in dice:
                 count = state[at]
                 if count == n:
@@ -501,23 +500,15 @@ def _census_counts(n: int, m: int) -> tuple[int, int, int, int]:
                 # ``lo``, so the successor's extremes are ``top`` and ``bottom``.
                 hi = state[at + 1] - n + state[s]
                 top = hi if hi < high else high
-                mark = thr
-                if thr:
-                    lo = state[p + 1] - (n - state[p]) * (n - count - 1)
-                    bottom = lo if lo > low else low
-                    if bottom > top:
-                        mark = 0  # it can no longer end balanced at W >= half
+                lo = state[p + 1] - (n - state[p]) * (n - count - 1)
+                bottom = lo if lo > low else low
+                # 0 once it can no longer end balanced at W >= half.
+                mark = thr if bottom <= top else 0
                 if not mark and top < need:
                     continue
                 pairs = state[:at] + (count + 1, hi) + state[at + 2:width]
-                if not thr:
-                    # Marked already: only pred x's lower end rose, so only
-                    # its upper end can have passed its cap.
-                    cap = need + (n - state[p]) * (n - count - 1)
-                    if state[p + 1] > cap:
-                        pairs = pairs[:p + 1] + (cap,) + pairs[p + 2:]
-                elif not mark:
-                    # Marked just now: clamp every die's upper end.
+                if not mark:
+                    # Marked, now or before: clamp every die's upper end.
                     ends = list(pairs)
                     for a, b, _ in dice:
                         cap = need + (n - ends[a]) * (n - ends[b])
