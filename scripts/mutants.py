@@ -63,6 +63,10 @@ MUTANTS = [
      "cap = need - 1 + (n - ends[a]) * (n - ends[b])"),
     ("tail-base-empty", "search.py",
      'return [""]', "return []"),
+    ("few-sides-check-at-3", "search.py",
+     "if n <= 2 and", "if n <= 3 and"),
+    ("few-sides-check-on-transitive", "search.py",
+     "!= list(range(m))", "!= list(range(1, m + 1))"),
 ]
 
 

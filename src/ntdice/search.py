@@ -37,6 +37,13 @@ letter moves, the DP tests each successor and the scan steps hi and lo in
 place. Realization wants each
 required end to stay at n²//2 + 1 or above and needs no lower end.
 
+Realization walks nothing for a tournament that is not transitive when n
+is 1 or 2. One-sided dice are ordered by their labels, and two-sided die
+x beats y in at least 3 of 4 rolls exactly when each of x's labels beats
+the same-ranked label of y, a dominance order; either way "beats" is
+transitive. Equivalently, the three win counts of a 3-cycle sum to at most
+2n², which cannot hold 3·(n²//2 + 1) when n ≤ 2 (``search_realization``).
+
 The census DP needs only the upper half of the balanced spectrum. The
 letter reflection sigma: x -> -x mod m maps a word's cycle-win vector c to
 
@@ -694,8 +701,26 @@ def search_realization(
     end is n² - hi[y][x]. So the loss bound fails exactly when y's own end
     falls below ``need``. That end moves only when y places a letter, and
     y's push then tests it, so a live prefix never breaks the loss bound.
+
+    Dice with one or two sides realize only transitive tournaments, those
+    whose out-degrees are 0, 1, ..., m - 1, so for any other tournament at
+    such n the answer is None without a walk, once the budget has admitted
+    the size. At n = 1 the higher label wins. At n = 2, with x1 > x2 and
+    y1 > y2, x wins at least 3 of the 4 rolls exactly when x1 > y1 and
+    x2 > y2: if y1 > x1, y1 beats both of x's labels, and if y2 > x2, x2
+    loses to both of y's. So "beats" is a dominance order, which is
+    transitive. Seen another way, a tournament that is not transitive has
+    a 3-cycle u -> v -> w -> u, and the joint bound on it holds already
+    with nothing placed: any three letters, one per die, meet at most two
+    of the three cyclic "later than" relations, so the cycle's three win
+    counts sum to at most 2n², while each needs n²//2 + 1, and
+    3·(n²//2 + 1) <= 2n² fails exactly when n is 1 or 2. Transitive
+    tournaments at those n, and every tournament at n >= 3, are walked.
     """
     m = tournament.m
+    if n <= 2 and sorted(tournament.out_degrees()) != list(range(m)):
+        _check_budget(n, m, budget)
+        return None
     walk = _backtrack(n, m, budget, lambda placed: _edge_rule(tournament, n, placed)[:3])
     word = next(walk, None)
     return None if word is None else dice_of_word(Word(word, m))
@@ -714,7 +739,9 @@ def _edge_rule(tournament: Tournament, n: int, placed: list[int]):
     """
     m = tournament.m
     need = n * n // 2 + 1
-    beaten = [[y for y in range(m) if tournament.beats(x, y)] for x in range(m)]
+    beaten: list[list[int]] = [[] for _ in range(m)]
+    for x, y in sorted(tournament.edges):
+        beaten[x].append(y)
     hi = [[n * n] * m for _ in range(m)]
 
     def push(x: int) -> bool:

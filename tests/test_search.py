@@ -21,6 +21,7 @@ from ntdice import (
     BudgetExceeded,
     Census,
     NotBalancedNontransitive,
+    SearchSizeError,
     SidesTooSmall,
     TooManyLabels,
     Tournament,
@@ -41,7 +42,7 @@ from ntdice import (
     word_of_dice,
 )
 from ntdice import construct
-from ntdice.search import _TAIL_WORDS, _bnt_rule, _edge_rule, _tail_length
+from ntdice.search import _TAIL_WORDS, _backtrack, _bnt_rule, _edge_rule, _tail_length
 
 # Frozen from the brute-force oracle (sympy enumeration + Fraction odds).
 ORACLE_CENSUS = {
@@ -919,9 +920,59 @@ def test_search_realization_exhausts_without_witness():
     assert search_realization(t, 1) is None
 
 
+def test_regular_five_vertex_tournament_is_walked_to_exhaustion():
+    # x beats x+1 and x+2 mod 5. At n = 4 the walk itself runs out of words,
+    # since the check for one or two sides does not apply there.
+    t = Tournament.from_edges(5, [(x, (x + d) % 5) for x in range(5) for d in (1, 2)])
+    assert search_realization(t, 4, budget=word_count(4, 5)) is None
+    found = search_realization(t, 3, budget=word_count(3, 5))
+    assert word_of_dice(found).letters == "adbeccbaededcba"
+
+
+def is_acyclic(edges, m):
+    """True when repeatedly removing the vertices with no edge into them
+    from the rest empties the digraph."""
+    left = set(range(m))
+    while left:
+        sources = {v for v in left if not any((u, v) in edges for u in left)}
+        if not sources:
+            return False
+        left -= sources
+    return True
+
+
+@pytest.mark.parametrize("m", [4, 5])
+def test_walk_realizes_one_or_two_sides_exactly_for_transitive_tournaments(m):
+    # The walk alone, without search_realization's check for n <= 2, finds a
+    # word exactly when the tournament is acyclic, for all m! of them.
+    wrong = []
+    for n in (1, 2):
+        found = 0
+        for mask in range(1 << (m * (m - 1) // 2)):
+            t = tournament_of_mask(m, mask)
+            walk = _backtrack(
+                n, m, word_count(n, m), lambda placed: _edge_rule(t, n, placed)[:3]
+            )
+            realized = next(walk, None) is not None
+            found += realized
+            if realized != is_acyclic(t.edges, m):
+                wrong.append((n, mask))
+        assert found == math.factorial(m)
+    assert wrong == []
+
+
+@pytest.mark.parametrize("n,m,count", [(1, 3, 6), (1, 4, 24), (2, 3, 90), (2, 4, 2520)])
+def test_dice_with_one_or_two_sides_have_acyclic_majority_digraphs(n, m, count):
+    # Independent of ntdice: no word with n <= 2 has a cycle of strict wins.
+    words = list(oracle.all_words(n, m))
+    assert len(words) == count
+    assert [w for w in words if not is_acyclic(oracle.full_digraph(w, m), m)] == []
+
+
 def test_search_realization_matches_oracle():
-    # Every 4-vertex tournament at n = 1 and 2: the walker's leaf rule must
-    # give the oracle's first realizing word, or None exactly when it does.
+    # Every 4-vertex tournament at n = 1 and 2: search_realization must give
+    # the oracle's first realizing word, or None exactly when it does. The
+    # transitive ones are walked; the others get None from the n <= 2 check.
     pairs = list(itertools.combinations(range(4), 2))
     mismatches = []
     for n in (1, 2):
@@ -968,8 +1019,10 @@ def test_smallest_realization_witnesses_are_pinned():
 def test_realization_witnesses_beyond_five_vertices_are_pinned():
     # The first witness, or "none", as "mask:n:word" lines, for every
     # 4-vertex tournament at n = 3 and 4 and for 30 seeded 6-vertex ones at
-    # n = 2 and 3 (no 6-vertex case here is realized at n = 2, so those
-    # lines pin the pruned search running to exhaustion).
+    # n = 2 and 3. No 6-vertex case here is transitive, so each n = 2 line
+    # is "none" from search_realization's check for n <= 2, without a walk;
+    # test_regular_five_vertex_tournament_is_walked_to_exhaustion pins a walk
+    # that runs out of words.
     four = [first_realization_line(4, mask, n) for n in (3, 4) for mask in range(64)]
     assert stream_digest(four) == (
         "cb9f69644376e6cffc36dd285323cf3d3f166f1ab2f237c5522b5063eaa93b45"
@@ -986,6 +1039,11 @@ def test_search_realization_budget():
     t = Tournament.from_text("1>2,2>3,3>1")
     with pytest.raises(BudgetExceeded):
         search_realization(t, 9, budget=1000)
+    # The check for n <= 2 answers only sizes the budget admits.
+    with pytest.raises(BudgetExceeded):
+        search_realization(t, 2, budget=89)
+    with pytest.raises(SearchSizeError):
+        search_realization(t, 0)
 
 
 # -- value records -------------------------------------------------------------------------------
