@@ -4,10 +4,7 @@
 Probes how common balanced, non-transitive, and irreducible sets are, and
 whether irreducible sets keep existing as n grows. Every count, the
 irreducible one included, comes from a DP that walks no words; its cost
-grows with the number of DP states (one per rotation orbit). On a 2-core
-VM with Python 3.11, ``--max-sides 8 --budget 10000000000`` takes about
-0.2 s (0.08 s of it n=8), and ``--dice 4 5 --max-sides 5 --budget
-1000000000000000`` about 0.7 s (0.5 s of it m=5, n=5). The budget flag
+grows with the number of DP states (one per rotation orbit). The budget flag
 guards against accidental monster runs: a size ``enumerate_words`` refuses
 is reported as skipped, with its refusal.
 """

@@ -61,6 +61,7 @@ from .errors import (
     TooManyDice,
     TooManyLabels,
     TournamentSpecError,
+    ValueOutOfRange,
     WrongSideCount,
 )
 from .search import (

@@ -26,6 +26,7 @@ from .errors import (
     NotOddIndex,
     SidesTooSmall,
     TooManyLabels,
+    ValueOutOfRange,
 )
 
 # Most labels a construction builds: m·n for the for-all-n construction,
@@ -61,9 +62,9 @@ def base_example(n: int, m: int = 3) -> DiceSet:
     """The catalog entry with n sides and m dice (n in 3..5, m in {3, 4})."""
     catalog = {3: BASE_TRIPLES, 4: BASE_QUADS}.get(m)
     if catalog is None:
-        raise ValueError(f"no base catalog for {m} dice")
+        raise ValueOutOfRange(f"no base catalog for {m} dice")
     if n not in catalog:
-        raise ValueError(f"no base example with {n} sides")
+        raise ValueOutOfRange(f"no base example with {n} sides")
     return catalog[n]
 
 

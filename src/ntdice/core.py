@@ -16,12 +16,11 @@ pair is counted by bisect in ``beat_count``.
 
 The value records here and in ``search`` are plain classes on ``_Record``,
 not frozen data classes. Every CLI command is a fresh process that imports
-the whole package, and its work is often a few milliseconds. Under
-``python -X importtime`` (Python 3.11, 2 cores, no cached bytecode),
-``import ntdice.cli`` took 55-60 ms with data classes: 12.4 ms for the
-standard library's data-class module and the ``inspect`` it loads, and
-1.2-2.2 ms to build each of the seven classes. With ``_Record`` it takes
-about 36 ms, and records are built as fast as before.
+the whole package, and its work is often a few milliseconds; data classes
+would make each of those processes import the standard library's
+``dataclasses`` and the ``inspect`` it loads, and build each class at
+import time. ``test_cli_import_skips_dataclasses_inspect_and_typing``
+checks that the CLI imports neither.
 """
 
 from __future__ import annotations
@@ -41,6 +40,7 @@ from .errors import (
     PositionOutOfRange,
     SameDie,
     TooManyDice,
+    ValueOutOfRange,
     WrongSideCount,
 )
 
@@ -183,7 +183,7 @@ class WinOdds(_Record):
 
     def __post_init__(self) -> None:
         if not 0 <= self.wins <= self.trials:
-            raise ValueError(f"wins {self.wins} outside 0..{self.trials}")
+            raise ValueOutOfRange(f"wins {self.wins} outside 0..{self.trials}")
 
     @property
     def display(self) -> str:

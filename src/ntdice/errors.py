@@ -43,6 +43,11 @@ class IndexOutOfRange(DiceError):
     """A die index outside 0..m-1."""
 
 
+class ValueOutOfRange(DiceError, ValueError):
+    """An argument outside what its function covers: a win count past its
+    trials, a size with no catalog entry, a closed form's vertex count."""
+
+
 # -- construction -------------------------------------------------------------
 
 class AlphabetMismatch(DiceError):

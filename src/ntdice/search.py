@@ -3,13 +3,14 @@
 The census lists no words. Its total is the closed form, and whether a word
 is balanced or non-transitive depends only on its final cycle-win vector,
 so a layered transfer-matrix DP over (letters placed, upper win end) per
-die counts those classes. Whether a balanced non-transitive word is
-irreducible depends only on that vector and on the cycle wins at each cut
-where every die has placed the same number of letters, so the same DP,
-carrying one threshold per state, counts the irreducible words too.
-Rotating the letters (x -> succ x) maps the cycle of dice onto itself, so
-each DP layer keeps one state per rotation orbit with the orbit's total
-prefix count, about m times fewer states than one per rotation.
+die counts those classes (``_census_counts``). Whether a balanced
+non-transitive word is irreducible depends only on that vector and on the
+cycle wins at each cut where every die has placed the same number of
+letters, so the same DP, carrying one threshold per state
+(``_cut_threshold``), counts the irreducible words too. Each DP layer keeps
+one state per orbit of the letter rotation x -> succ x, about m times fewer
+states than one per rotation, and ``_census_counts`` shows why stepping one
+representative per orbit is exact.
 
 The census, the balanced non-transitive scan and realization search all
 prune with one bound and carry one state for it: ``placed``, each die's
@@ -34,15 +35,9 @@ counted on) and rises by n - placed[w] for the die w that must beat x
 scan wants every cycle win to meet at one W with 2W > n², the census at
 one W >= ceil(n²/2) (below), so from a state's extremes and the two ends a
 letter moves, the DP tests each successor and the scan steps hi and lo in
-place. Realization wants each
-required end to stay at n²//2 + 1 or above and needs no lower end.
-
-Realization walks nothing for a tournament that is not transitive when n
-is 1 or 2. One-sided dice are ordered by their labels, and two-sided die
-x beats y in at least 3 of 4 rolls exactly when each of x's labels beats
-the same-ranked label of y, a dominance order; either way "beats" is
-transitive. Equivalently, the three win counts of a 3-cycle sum to at most
-2n², which cannot hold 3·(n²//2 + 1) when n ≤ 2 (``search_realization``).
+place. Realization wants each required end to stay at n²//2 + 1 or above
+and needs no lower end; it walks nothing at n <= 2 for a tournament that
+is not transitive (``search_realization``).
 
 The census DP needs only the upper half of the balanced spectrum. The
 letter reflection sigma: x -> -x mod m maps a word's cycle-win vector c to
@@ -57,44 +52,16 @@ onto those with n² - W, and
     balanced = 2·(balanced non-transitive) + fair,
 
 where a fair word has 2W = n², which needs n even. The DP therefore asks
-only whether the intervals can still meet at some W >= ceil(n²/2).
-
-It also forgets what can no longer change its counts. A state whose
-intervals cannot meet at such a W can end balanced only below n²/2 or not
-at all, and stays so, since upper ends only fall and lower ends only rise;
-the DP marks it and keeps it only for the non-transitive count. For a
-marked state the one question left is whether each die ends at n²//2 + 1
-or above, and a die whose lower end has reached that answers it whatever
-follows. Its upper end is clamped at the end whose lower end is exactly
-n²//2 + 1, so states that will finish the same way merge. Each step
-recomputes the mark and clamps every die of a marked successor, so
-marked and unmarked states take one update. Both the mark and the cap
-read only a die's and its successor's counts, so they commute with the
-rotation quotient.
-An unmarked state in the last layer is then a balanced word with W at or
-above ceil(n²/2), so the final tally needs no balance test.
+only whether the intervals can still meet at some W >= ceil(n²/2), and
+keeps a state that no longer can, marked, for the non-transitive count
+alone (``_census_counts``).
 
 Listing words, the balanced non-transitive scan and realization search
 share one iterative backtracker, ``_backtrack``, that visits words in
-lexicographic order. It owns the walk: it refuses an oversized space
-before returning its generator, keeps ``placed`` and spells the words it
-yields. Each caller brings only its rule: ``push``, run after every
-placement, steps the caller's ends and answers whether the prefix is dead,
-and ``pop`` undoes that step. The answer prunes inner nodes with the bound
-above and, with nothing left to place, is exact, so it also decides which
-full words are yielded.
-
-The listings share suffixes the way the census shares states. A rule
-names its ``ends``, the list it steps (``hi`` for the scan, an empty list
-for ``iter_words``), so that a prefix's completions depend only on
-``placed`` plus those ends. The walker then stops a few letters short of a
-word, at a depth fixed by (n, m), and yields the prefix followed by each
-completion of its state, a list built once per state and bounded in size.
-Realization names no ends: it wants only the first word, and a list is
-built whole before its first word comes out, so it walks every letter and
-stops at the full word, whose one completion is the empty suffix.
-Nothing runs in parallel, so results never depend on ``jobs``, which is
-accepted and ignored.
+lexicographic order and owns the walk; each caller brings only its rule,
+and the two listings share suffixes through a memoized tail. Nothing runs
+in parallel, so results never depend on ``jobs``, which is accepted and
+ignored.
 """
 
 from __future__ import annotations
@@ -121,6 +88,7 @@ from .errors import (
     SearchSizeError,
     SidesTooSmall,
     TournamentSpecError,
+    ValueOutOfRange,
 )
 
 DEFAULT_BUDGET = 10 ** 8
@@ -175,7 +143,6 @@ class Tournament(_Record):
     def from_text(cls, text: str) -> "Tournament":
         """Parse a comma-separated edge list like ``1>2,2>3,3>1`` (1-based)."""
         edges = set()
-        vertices: set[int] = set()
         for token in text.split(","):
             token = token.strip()
             if not token:
@@ -189,11 +156,10 @@ class Tournament(_Record):
                 raise TournamentSpecError(f"cannot parse edge {token!r}") from None
             if i < 1 or j < 1:
                 raise TournamentSpecError(f"vertices are numbered from 1: {token!r}")
-            vertices.update((i, j))
             edges.add((i - 1, j - 1))
         if not edges:
             raise TournamentSpecError("empty tournament specification")
-        return cls.from_edges(max(vertices), edges)
+        return cls.from_edges(1 + max(map(max, edges)), edges)
 
     def beats(self, i: int, j: int) -> bool:
         return (i, j) in self.edges
@@ -275,8 +241,7 @@ def is_irreducible(word: Word) -> bool:
 
 def _tail_length(n: int, m: int) -> int:
     """Letters the memoized tail of a walk with ends covers: the largest t
-    with m^t <= _TAIL_WORDS, so no tail list holds more than _TAIL_WORDS
-    suffixes, and at most mn - 1, so the top walk places a letter first."""
+    with m^t <= _TAIL_WORDS, and at most mn - 1 (``_backtrack`` says why)."""
     t = 0
     while m ** (t + 1) <= _TAIL_WORDS:
         t += 1
@@ -287,10 +252,10 @@ def _tail(
     memo: dict, placed: list[int], n: int, push, pop, ends: list[int], left: int
 ) -> list[str]:
     """Every completion of the current prefix, ``left`` letters long, in
-    lexicographic order, built once per state ``placed`` + ``ends``: each
-    live letter followed by each completion one letter shorter. A full
-    word's one completion is the empty suffix, returned before ``ends`` is
-    read, so a walk with no ends calls it too.
+    lexicographic order: each live letter followed by each completion one
+    letter shorter, memoized per state ``placed`` + ``ends`` (``_backtrack``).
+    A full word's one completion is the empty suffix, returned before
+    ``ends`` is read, so a walk with no ends calls it too.
 
     A plain recursive function, not a closure, so ``memo`` is freed by
     reference counting as soon as the walk that owns it ends.
@@ -325,31 +290,36 @@ def _backtrack(
     the walk. The walker owns ``placed``, the prefix's count of each
     letter, and only it changes them. ``rule(placed)`` is called once,
     after the check, so a caller builds its m-sized state only for sizes
-    the gate admits; it returns the caller's ``(push, pop, ends)``.
-    ``push`` and ``pop`` read ``placed`` and step the caller's ends (module
-    docstring). After each placement of letter x, the one that completes a
-    word included, the walker counts it in ``placed`` and calls
-    ``push(x)``, which steps the ends and answers whether the prefix is
-    dead; before undoing a placement it uncounts it and calls ``pop(x)``.
+    the gate admits; it returns the caller's ``(push, pop, ends)``. After
+    each placement of letter x, the one that completes a word included,
+    the walker counts it in ``placed`` and calls ``push(x)``, which reads
+    ``placed``, steps the caller's ends (the bound of the module
+    docstring) and answers whether the prefix is dead; before undoing a
+    placement it uncounts it and calls ``pop(x)``, which undoes the step.
     A true answer cuts the subtree below an inner node and drops a full
     word, so ``push`` is the one leaf rule: only full words where it is
     false are yielded, spelled as strings.
 
     Every walk stops at a depth ``top`` and yields the prefix followed by
     each suffix of the completion list ``_tail`` gives for the mn - top
-    letters left. ``ends`` None gives the plain walk: top = mn, so every
-    word is walked to its last letter, with the caller's state at that leaf
-    when it is yielded, and its one suffix is the empty one. A caller whose
-    ``push`` answers depend only on ``placed`` and on the list ``ends``
-    passes that list to memoize the tail: a prefix's completions then
-    depend only on ``placed`` + ``ends``. The walk then stops at
-    top = mn - ``_tail_length(n, m)``, and ``_tail`` builds each state's
-    list once, with the lists of the states below it, the first time the
-    state is reached. Under a fixed prefix the suffix order is the word
-    order, so the stream is the plain walk's. The memo belongs to the walk
-    and goes when the walk ends. A caller that wants only the first word
-    gains nothing from it, since the first list is built whole before the
-    first word comes out, so realization passes no ends.
+    letters left. A caller whose ``push`` answers depend only on
+    ``placed`` and on the list ``ends`` (``hi`` for the scan, an empty
+    list for ``iter_words``) passes that list to memoize the tail: a
+    prefix's completions then depend only on ``placed`` + ``ends``, so
+    ``_tail`` builds each state's list once, with the lists of the states
+    below it, the first time the state is reached. The walk stops at
+    top = mn - t with t = ``_tail_length(n, m)``: at most m^t <=
+    _TAIL_WORDS suffixes have t letters, so no list outgrows that, and
+    t < mn, since the walker compares its depth with ``top`` only after a
+    placement. Under a fixed prefix the suffix order is the word order, so
+    the stream is the plain walk's. The memo belongs to the walk and goes
+    when the walk ends.
+
+    ``ends`` None gives the plain walk: top = mn, so every word is walked
+    to its last letter, with the caller's state at that leaf when it is
+    yielded, and its one suffix is the empty one. Realization passes None:
+    it wants only the first word, and a memoized walk builds the first
+    list whole before its first word comes out.
     """
     _check_budget(n, m, budget)
     placed = [0] * m
@@ -403,26 +373,21 @@ def _census_counts(n: int, m: int) -> tuple[int, int, int, int]:
 
     A layered transfer-matrix DP over states (placed[x], hi[x]) per die x,
     kept as the flat pairs placed[0], hi[0], ..., placed[m-1], hi[m-1],
-    plus ``thr``; hi[x] starts at n² and is x's upper cycle-win end (module
-    docstring). Placing a letter of die x lowers hi[x] by n - placed[succ x]
-    and depends on nothing else, so prefixes that share a state share their
-    completions. The DP counts only the upper half of the balanced words,
-    those whose common win count W is at least half = ceil(n²/2): the
-    letter reflection maps the balanced words at W one-to-one onto those at
-    n² - W (module docstring), so the lower half mirrors the balanced
-    non-transitive words and
-
-        balanced = 2·bnt + fair,
-
-    with fair the words at 2W = n². A state is dropped once its cycle-win
+    plus ``thr``. hi[x] starts at n² and is x's upper cycle-win end over
+    succ x, stepped by the bound of the module docstring, which reads
+    nothing but the state, so prefixes that share a state share their
+    completions. The DP counts only the balanced words whose common win
+    count W is at least half = ceil(n²/2), and returns balanced =
+    2·bnt + fair, with fair the words at 2W = n², by the letter reflection
+    of the module docstring. A state is dropped once its cycle-win
     intervals show it can end neither balanced at such a W nor
     non-transitive (they cannot meet at or above half, and some upper end
     is short of need = n²//2 + 1), which is why the total comes from the
     closed form. Each stored state's extremes are read once, the least
     upper end and the greatest lower end, each die's lower end derived from
-    its hi, and the greatest lower end starts at half; a successor by die x
-    differs from them in two ends only, x's upper end and pred x's lower
-    end, so each successor is tested from those two, marked or not. In the
+    its hi, and the greatest lower end starts at half; a successor differs
+    from them only in the two ends its letter moves (module docstring), so
+    each successor is tested from those two, marked or not. In the
     last layer every die has placed n letters, so hi is the cycle-win
     vector, and an unmarked state's ends all equal one W >= half: it is
     balanced with no test, balanced non-transitive when 2W > n² and fair
@@ -502,9 +467,8 @@ def _census_counts(n: int, m: int) -> tuple[int, int, int, int]:
                 count = state[at]
                 if count == n:
                     continue
-                # A letter of this die moves two ends only: its own upper end
-                # drops to ``hi`` and its predecessor's lower end rises to
-                # ``lo``, so the successor's extremes are ``top`` and ``bottom``.
+                # The two ends a letter of this die moves, ``hi`` and its
+                # predecessor's ``lo``, give the successor's extremes.
                 hi = state[at + 1] - n + state[s]
                 top = hi if hi < high else high
                 lo = state[p + 1] - (n - state[p]) * (n - count - 1)
@@ -535,8 +499,7 @@ def _census_counts(n: int, m: int) -> tuple[int, int, int, int]:
     for state, mass in layer.items():
         thr = state[-1]
         if not thr:
-            # Marked: its last step found every end at need or above. Its
-            # clamped ends may look equal, so it is never tested for balance.
+            # Marked: non-transitive only, never tested for balance.
             nontransitive += mass
             continue
         # Unmarked: every end is the common final W, and W >= half.
@@ -558,11 +521,10 @@ def enumerate_words(
 
     No word is walked to count it: the total is the closed form and the
     balanced, non-transitive, balanced non-transitive and irreducible
-    counts all come from the DP in ``_census_counts``. The balanced count
-    is 2·(balanced non-transitive) + fair: the letter reflection
-    x -> -x mod m pairs each balanced word at common win count W with one
-    at n² - W, so the DP counts only W >= ceil(n²/2). ``jobs`` is accepted
-    for compatibility and ignored.
+    counts all come from the DP in ``_census_counts``, which counts the
+    balanced words as 2·(balanced non-transitive) + fair by the letter
+    reflection of the module docstring. ``jobs`` is accepted for
+    compatibility and ignored.
     """
     total = _check_budget(n, m, budget)
     balanced, nontransitive, bnt, irreducible = _census_counts(n, m)
@@ -591,10 +553,8 @@ def balanced_nontransitive_words(
     die's final cycle-win count, and the same test passes exactly the
     balanced non-transitive words, so the walk yields nothing else.
 
-    The rule (``_bnt_rule``) keeps each die's interval ends and steps them
-    with every placement: the placed die's upper end drops and its
-    predecessor's lower end rises (module docstring), so a push touches two
-    ends and compares the extremes. The upper ends are the walk's state.
+    The rule is ``_bnt_rule``; its upper ends are the walk's state, so the
+    walk memoizes its tail (``_backtrack``).
     """
     return _backtrack(n, m, budget, lambda placed: _bnt_rule(n, m, placed)[:3])
 
@@ -604,9 +564,10 @@ def _bnt_rule(n: int, m: int, placed: list[int]):
     (push, pop, hi, lo).
 
     hi[x] and lo[x] are the ends of die x's final cycle-win interval,
-    stepped as ``placed`` changes, and ``push`` answers whether they can no
-    longer meet at one W with 2W > n². ``hi`` alone, with ``placed``, is
-    the walk's state, so it is the rule's ``ends``.
+    stepped as the module docstring derives: a letter moves two ends, so
+    ``push`` steps those and answers whether the extremes can no longer
+    meet at one W with 2W > n². ``hi`` alone, with ``placed``, is the walk's
+    state, so it is the rule's ``ends``.
     """
     need = n * n // 2 + 1
     succ = [(x + 1) % m for x in range(m)]
@@ -654,27 +615,22 @@ def realize_k3(tournament: Tournament, n: int) -> DiceSet:
     ``construct.MAX_LABELS`` are refused before anything is built.
     """
     if tournament.m != 3:
-        raise ValueError(f"closed form covers 3 vertices, got {tournament.m}")
+        raise ValueOutOfRange(f"closed form covers 3 vertices, got {tournament.m}")
     if n < 1:
         raise SidesTooSmall(f"need at least one side, got n={n}")
     _check_labels(n, 3)
     degrees = tournament.out_degrees()
     if sorted(degrees) == [1, 1, 1]:
         if n < 3:
-            raise SidesTooSmall(
-                f"a cyclic tournament needs at least 3 sides, got {n}"
-            )
+            raise SidesTooSmall(f"a cyclic tournament needs at least 3 sides, got {n}")
         # The base set's cycle is a > b > c > a; the other 3-cycle swaps b and c.
         result = construct_balanced_nontransitive(n, 3)
         if not tournament.beats(0, 1):
             result = reorder_dice(result, (0, 2, 1))
     else:
-        # Total order: out-degree ranks strength; strongest takes the top block.
-        rows = []
-        for vertex in range(3):
-            low = degrees[vertex] * n
-            rows.append(tuple(range(low + n, low, -1)))
-        result = DiceSet(tuple(rows))
+        # Total order: the block word, weakest vertex (out-degree 0) first.
+        blocks = "".join(ALPHABET[degrees.index(d)] * n for d in range(3))
+        result = dice_of_word(Word(blocks, 3))
     if majority_digraph(result) != tournament.edges:
         raise ConstructionError("realization does not reproduce the tournament")
     return result
@@ -686,13 +642,11 @@ def search_realization(
     """Lexicographically first dice set whose full majority digraph equals
     the tournament, or None when no n-sided realization exists.
 
-    Backtracking over words with one upper end per required edge x -> y
-    (``_edge_rule``): hi[x][y] = wins[x][y] + (n - placed[x])·n, the most
-    wins x can still end with over y. Placing a letter of x lowers it by
-    n - placed[y] and moves no other end, and the prefix is dead once some
-    end falls below ``need`` = n²//2 + 1. After x's last letter its ends
-    are its final wins, so every word the walk yields realizes the
-    tournament and the first one is the answer.
+    Backtracking over words with one upper end hi[x][y] per required edge
+    x -> y (``_edge_rule``), the bound of the module docstring with y as
+    the beaten die: a prefix is dead once some end falls below ``need`` =
+    n²//2 + 1. That test is exact on a full word, so every word the walk
+    yields realizes the tournament and the first one is the answer.
 
     No bound on a required loss is needed: it could never prune. For an
     edge y -> x, x's final wins over y must stay at most n² - ``need``. Its
@@ -733,9 +687,8 @@ def _edge_rule(tournament: Tournament, n: int, placed: list[int]):
     hi[x][y], for each edge x -> y of the tournament, is the upper end of
     x's final wins over y; ``push`` answers whether an end of the placed
     die fell below n²//2 + 1. The walker pushes only onto live prefixes,
-    and no other end moved, so that is whether any end did. The rule's
-    ends are None: realization wants only the first word, so its walk is
-    not memoized.
+    and no other end moved, so that is whether any end did. Its ends are
+    None, so the walk is not memoized (``_backtrack`` says why).
     """
     m = tournament.m
     need = n * n // 2 + 1

@@ -1,5 +1,6 @@
 """Catalog bases, concatenation, the for-all-n construction, and Fibonacci."""
 
+import functools
 import random
 
 import pytest
@@ -130,36 +131,29 @@ def test_concat_win_sum_identity_four_dice(s, t):
         assert qc[x] == qs[x] + qt[x] + s.n * t.n
 
 
-def _balanced_pool():
-    pool = []
-    for n in (2, 3, 4):
-        pool.extend(
-            w for w in oracle.all_words(n, 3) if oracle.is_balanced(w, 3)
-        )
-    return pool
+@functools.cache
+def _oracle_pool(keep, sizes):
+    """Every 3-letter word with n in ``sizes`` that the oracle's ``keep``
+    accepts, built on first use rather than when the file is collected."""
+    return [w for n in sizes for w in oracle.all_words(n, 3) if keep(w, 3)]
 
 
-def _nontransitive_pool():
-    pool = []
-    for n in (3, 4):
-        pool.extend(
-            w for w in oracle.all_words(n, 3) if oracle.is_nontransitive(w, 3)
-        )
-    return pool
+BALANCED_POOL = st.deferred(
+    lambda: st.sampled_from(_oracle_pool(oracle.is_balanced, (2, 3, 4)))
+)
+NONTRANSITIVE_POOL = st.deferred(
+    lambda: st.sampled_from(_oracle_pool(oracle.is_nontransitive, (3, 4)))
+)
 
 
-BALANCED_POOL = _balanced_pool()
-NONTRANSITIVE_POOL = _nontransitive_pool()
-
-
-@given(st.sampled_from(BALANCED_POOL), st.sampled_from(BALANCED_POOL))
+@given(BALANCED_POOL, BALANCED_POOL)
 @settings(max_examples=100)
 def test_balanced_closed_under_concat(s, t):
     combined = concat_words(Word(s, 3), Word(t, 3))
     assert is_balanced(dice_of_word(combined))
 
 
-@given(st.sampled_from(NONTRANSITIVE_POOL), st.sampled_from(NONTRANSITIVE_POOL))
+@given(NONTRANSITIVE_POOL, NONTRANSITIVE_POOL)
 @settings(max_examples=100)
 def test_nontransitive_closed_under_concat(s, t):
     combined = concat_words(Word(s, 3), Word(t, 3))

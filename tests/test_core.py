@@ -19,11 +19,13 @@ from ntdice import (
     PositionOutOfRange,
     SameDie,
     TooManyDice,
+    Tournament,
     Verdict,
     WinOdds,
     Word,
     WrongSideCount,
     balance_summary,
+    base_example,
     beat_count,
     cycle_beat_counts,
     cycle_odds,
@@ -34,6 +36,7 @@ from ntdice import (
     q_minus,
     q_plus,
     q_same,
+    realize_k3,
     reorder_dice,
     validate_dice,
     verify,
@@ -114,6 +117,23 @@ def test_validate_too_many_dice():
     with pytest.raises(TooManyDice, match="at most 26 dice, got 27"):
         validate_dice([[i + 1] for i in range(27)])
     assert issubclass(TooManyDice, DiceError)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: WinOdds(10, 9),
+        lambda: base_example(6),
+        lambda: base_example(3, 5),
+        lambda: realize_k3(Tournament.from_text("1>2"), 3),
+    ],
+    ids=["win-odds", "base-sides", "base-dice", "realize-k3-size"],
+)
+def test_out_of_range_arguments_raise_dice_errors(call):
+    # A DiceError like every deliberate error, and a ValueError as before.
+    with pytest.raises(DiceError) as caught:
+        call()
+    assert isinstance(caught.value, ValueError)
 
 
 def test_validate_empty_dice():
