@@ -182,6 +182,8 @@ class WinOdds(_Record):
     trials: int
 
     def __post_init__(self) -> None:
+        if self.trials < 1:
+            raise ValueOutOfRange(f"need at least 1 trial, got {self.trials}")
         if not 0 <= self.wins <= self.trials:
             raise ValueOutOfRange(f"wins {self.wins} outside 0..{self.trials}")
 

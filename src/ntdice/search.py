@@ -120,12 +120,20 @@ class Tournament(_Record):
 
     @classmethod
     def from_edges(cls, m: int, edges) -> "Tournament":
+        # Vertices and their count are plain ints; bool is refused too.
+        if type(m) is not int:
+            raise TournamentSpecError(f"vertex count {m!r} is not an integer")
         if m < 2:
             raise TournamentSpecError(f"need at least 2 vertices, got {m}")
         chosen = frozenset(edges)
         for i, j in chosen:
-            if i == j or not (0 <= i < m and 0 <= j < m):
-                raise TournamentSpecError(f"bad edge ({i}, {j}) for {m} vertices")
+            if (
+                type(i) is not int
+                or type(j) is not int
+                or i == j
+                or not (0 <= i < m and 0 <= j < m)
+            ):
+                raise TournamentSpecError(f"bad edge ({i!r}, {j!r}) for {m} vertices")
         for i in range(m):
             for j in range(i + 1, m):
                 forward, backward = (i, j) in chosen, (j, i) in chosen

@@ -7,6 +7,7 @@ must never import from ntdice.
 """
 
 from fractions import Fraction
+from functools import cache
 
 from sympy.utilities.iterables import multiset_permutations
 
@@ -105,11 +106,15 @@ def full_digraph(word: str, m: int) -> frozenset[tuple[int, int]]:
     return frozenset(edges)
 
 
-def first_realization(target: frozenset[tuple[int, int]], n: int, m: int):
+@cache
+def first_realizations(n: int, m: int) -> dict[frozenset[tuple[int, int]], str]:
+    """The first word, in lexicographic order, of each ``full_digraph`` that
+    some word with n of each of m letters has; one pass over the words.
+    Cached: callers share the dict and change none of it."""
+    first: dict[frozenset[tuple[int, int]], str] = {}
     for word in all_words(n, m):
-        if full_digraph(word, m) == target:
-            return word
-    return None
+        first.setdefault(full_digraph(word, m), word)
+    return first
 
 
 def classify(word: str, m: int) -> str:

@@ -426,9 +426,11 @@ def test_search_count_is_the_default_mode(run):
 
 
 def test_search_list_streams_words(run):
-    code, out, _ = run(["search", "--sides", "1", "--list"])
-    assert code == 0
-    assert out.splitlines() == ["abc", "acb", "bac", "bca", "cab", "cba"]
+    # --list prints one word a line whatever --format says.
+    for extra in ([], ["--format", "text"], ["--format", "json"]):
+        code, out, _ = run(["search", "--sides", "1", "--list", *extra])
+        assert code == 0
+        assert out.splitlines() == ["abc", "acb", "bac", "bca", "cab", "cba"]
 
 
 def test_search_list_irreducible_only(run):

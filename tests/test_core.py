@@ -549,3 +549,7 @@ def test_win_odds_keeps_its_own_equality_and_range_check():
             WinOdds(wins, 9)
     with pytest.raises(ValueError):
         WinOdds(wins=10, trials=9)
+    # Zero trials would equal every odds by cross-multiplication.
+    for trials in (0, -1):
+        with pytest.raises(ValueError, match=f"at least 1 trial, got {trials}"):
+            WinOdds(0, trials)

@@ -829,6 +829,20 @@ def test_tournament_from_edges_rejects_self_loop():
         Tournament.from_edges(3, {(0, 0), (0, 1), (0, 2), (1, 2)})
 
 
+@pytest.mark.parametrize(
+    "m, edges",
+    [
+        (3, [(0.0, 1), (1, 2), (2, 0)]),
+        (3, [(0, 1), (True, 2), (2, 0)]),
+        (3.0, [(0, 1), (1, 2), (2, 0)]),
+    ],
+    ids=["float-vertex", "bool-vertex", "float-count"],
+)
+def test_tournament_from_edges_rejects_non_integer_vertices(m, edges):
+    with pytest.raises(TournamentSpecError):
+        Tournament.from_edges(m, edges)
+
+
 def test_majority_digraph_quad_examples():
     # 3-sided quad: full cycle plus both diagonals decided
     assert majority_digraph(BASE_QUADS[3]) == frozenset(
@@ -979,7 +993,7 @@ def test_search_realization_matches_oracle():
             tournament = tournament_of_mask(4, mask)
             found = search_realization(tournament, n)
             got = None if found is None else word_of_dice(found).letters
-            if got != oracle.first_realization(tournament.edges, n, 4):
+            if got != oracle.first_realizations(n, 4).get(tournament.edges):
                 mismatches.append((n, mask, got))
     assert mismatches == []
 
@@ -1023,6 +1037,8 @@ def test_realization_witnesses_beyond_five_vertices_are_pinned():
     # test_regular_five_vertex_tournament_is_walked_to_exhaustion pins a walk
     # that runs out of words.
     four = [first_realization_line(4, mask, n) for n in (3, 4) for mask in range(64)]
+    # Every 4-vertex tournament is realized at n = 3 and at n = 4.
+    assert [line for line in four if line.endswith(":none")] == []
     assert stream_digest(four) == (
         "cb9f69644376e6cffc36dd285323cf3d3f166f1ab2f237c5522b5063eaa93b45"
     )
