@@ -13,7 +13,7 @@ the unmutated copy must pass, or a failure would prove nothing.
 Prints one line per mutant (killed or SURVIVED, seconds, and the first
 failing test) and exits 1 if any mutant survives, 2 if an edit no longer
 matches the source or the unmutated copy fails. The whole list takes
-about two minutes on 2 cores; it runs one pytest process at a time.
+about three minutes on 2 cores; it runs one pytest process at a time.
 
     python scripts/mutants.py
 """
@@ -61,6 +61,11 @@ MUTANTS = [
     ("clamp-cap-minus-1", "search.py",
      "cap = need + (n - ends[a]) * (n - ends[b])",
      "cap = need - 1 + (n - ends[a]) * (n - ends[b])"),
+    ("clamp-cap-plus-1", "search.py",
+     "cap = need + (n - ends[a]) * (n - ends[b])",
+     "cap = need + 1 + (n - ends[a]) * (n - ends[b])"),
+    ("rotation-skip-lt", "search.py",
+     "if pairs[k] <= key[0]:", "if pairs[k] < key[0]:"),
     ("tail-base-empty", "search.py",
      'return [""]', "return []"),
     ("few-sides-check-at-3", "search.py",

@@ -101,21 +101,14 @@ def _parse_document(text: str) -> DiceSet:
         ) from exc
     except (RecursionError, ValueError) as exc:  # too deep, or too many digits
         raise InputError(f"bad JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise InputError("JSON input must be an object")
+    # Text starting with "{" that json.loads accepts is always an object.
     if doc.get("schema") != DICE_SCHEMA:
         raise InputError(f"expected schema {DICE_SCHEMA!r}, got {doc.get('schema')!r}")
     dice = doc.get("dice")
     if not isinstance(dice, dict) or not dice:
         raise InputError("document field 'dice' must map letters to label arrays")
-    m = len(dice)
-    expected_letters = list(ALPHABET[:m])
-    if sorted(dice) != expected_letters:
-        raise InputError(
-            f"dice letters must be exactly {expected_letters}, got {sorted(dice)}"
-        )
-    rows = [dice[ch] for ch in expected_letters]
-    for ch, row in zip(expected_letters, rows):
+    rows = _in_letter_order(dice)
+    for ch, row in zip(ALPHABET, rows):
         if not isinstance(row, list):
             raise InputError(f"die {ch!r} must be a label array, got {json.dumps(row)}")
     result = validate_dice(rows)
@@ -164,10 +157,16 @@ def _parse_rows(text: str) -> DiceSet:
             rows[letter] = labels
     if not rows:
         raise InputError("no dice rows found")
-    expected = list(ALPHABET[: len(rows)])
-    if sorted(rows) != expected:
-        raise InputError(f"dice must be named {expected}, got {sorted(rows)}")
-    return validate_dice([rows[ch] for ch in expected])
+    return validate_dice(_in_letter_order(rows))
+
+
+def _in_letter_order(named: dict) -> list:
+    """The rows of a die name -> labels mapping, in letter order; the names
+    must be exactly a, b, c, ... up to the number of dice."""
+    expected = list(ALPHABET[: len(named)])
+    if sorted(named) != expected:
+        raise InputError(f"dice must be named {expected}, got {sorted(named)}")
+    return [named[ch] for ch in expected]
 
 
 def _read_input(source: str) -> str:
@@ -360,34 +359,40 @@ def build_parser() -> argparse.ArgumentParser:
         description="Construct, verify, and search balanced non-transitive dice.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # Each option shared by several commands, declared once as a parent.
+    fmt, sides, budget = (argparse.ArgumentParser(add_help=False) for _ in range(3))
+    fmt.add_argument("--format", choices=("text", "json"), default="text")
+    sides.add_argument("--sides", type=int, required=True)
+    budget.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
 
     p_verify = sub.add_parser(
-        "verify", help="classify dice given as a file, JSON, rows, word, or - (stdin)"
+        "verify",
+        parents=[fmt],
+        help="classify dice given as a file, JSON, rows, word, or - (stdin)",
     )
     p_verify.add_argument(
         "input",
         help="file path, '-' for stdin, or inline dice/word; "
         "an existing path is always read as a file",
     )
-    p_verify.add_argument("--format", choices=("text", "json"), default="text")
     p_verify.set_defaults(func=cmd_verify)
 
-    p_gen = sub.add_parser("gen", help="construct a balanced non-transitive set")
-    p_gen.add_argument("--sides", type=int, required=True)
+    p_gen = sub.add_parser(
+        "gen", parents=[sides, fmt], help="construct a balanced non-transitive set"
+    )
     p_gen.add_argument("--dice", type=int, choices=(3, 4), default=3)
-    p_gen.add_argument("--format", choices=("text", "json"), default="text")
     p_gen.set_defaults(func=cmd_gen)
 
-    p_fib = sub.add_parser("fib", help="Fibonacci block constructions")
+    p_fib = sub.add_parser("fib", parents=[fmt], help="Fibonacci block constructions")
     p_fib.add_argument("--k", type=int, required=True, help="Fibonacci index, f(1)=f(2)=1")
     p_fib.add_argument(
         "--balanced", action="store_true", help="apply the balancing swap (odd k >= 5)"
     )
-    p_fib.add_argument("--format", choices=("text", "json"), default="text")
     p_fib.set_defaults(func=cmd_fib)
 
-    p_search = sub.add_parser("search", help="exhaustive census or word listing")
-    p_search.add_argument("--sides", type=int, required=True)
+    p_search = sub.add_parser(
+        "search", parents=[sides, budget, fmt], help="exhaustive census or word listing"
+    )
     p_search.add_argument("--dice", type=int, default=3)
     mode = p_search.add_mutually_exclusive_group()
     mode.add_argument("--count", action="store_true", help="print the census (default)")
@@ -397,23 +402,20 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="with --list: only irreducible balanced non-transitive words",
     )
-    p_search.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p_search.add_argument(
         "--jobs",
         type=int,
         default=1,
         help="accepted for compatibility; ignored, results are identical",
     )
-    p_search.add_argument("--format", choices=("text", "json"), default="text")
     p_search.set_defaults(func=cmd_search)
 
-    p_realize = sub.add_parser("realize", help="find dice realizing a tournament")
+    p_realize = sub.add_parser(
+        "realize", parents=[sides, budget, fmt], help="find dice realizing a tournament"
+    )
     p_realize.add_argument(
         "--tournament", required=True, help="directed pairs, e.g. '1>2,2>3,3>1'"
     )
-    p_realize.add_argument("--sides", type=int, required=True)
-    p_realize.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    p_realize.add_argument("--format", choices=("text", "json"), default="text")
     p_realize.set_defaults(func=cmd_realize)
 
     return parser

@@ -182,6 +182,9 @@ class WinOdds(_Record):
     trials: int
 
     def __post_init__(self) -> None:
+        for name, value in self.__dict__.items():
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueOutOfRange(f"{name} {value!r} is not an integer")
         if self.trials < 1:
             raise ValueOutOfRange(f"need at least 1 trial, got {self.trials}")
         if not 0 <= self.wins <= self.trials:
@@ -299,32 +302,29 @@ def dice_of_word(word: Word) -> DiceSet:
     return DiceSet(tuple(tuple(reversed(row)) for row in rows))
 
 
-def _letter_at(word: Word, position: int) -> str:
-    if not 1 <= position <= len(word.letters):
-        raise PositionOutOfRange(
-            f"position {position} outside 1..{len(word.letters)}"
-        )
-    return word.letters[position - 1]
+def _count_before(word: Word, position: int, offset: int) -> int:
+    """Earlier occurrences of the letter ``offset`` steps round the die cycle
+    from the one at ``position`` (1-based)."""
+    letters = word.letters
+    if not 1 <= position <= len(letters):
+        raise PositionOutOfRange(f"position {position} outside 1..{len(letters)}")
+    other = ALPHABET[(ord(letters[position - 1]) - 97 + offset) % word.m]
+    return letters.count(other, 0, position - 1)
 
 
 def q_plus(word: Word, position: int) -> int:
     """Earlier occurrences of the letter this position's die beats in cycle."""
-    ch = _letter_at(word, position)
-    beaten = ALPHABET[(ord(ch) - 97 + 1) % word.m]
-    return word.letters.count(beaten, 0, position - 1)
+    return _count_before(word, position, 1)
 
 
 def q_minus(word: Word, position: int) -> int:
     """Earlier occurrences of the letter whose die beats this one in cycle."""
-    ch = _letter_at(word, position)
-    beating = ALPHABET[(ord(ch) - 97 - 1) % word.m]
-    return word.letters.count(beating, 0, position - 1)
+    return _count_before(word, position, -1)
 
 
 def q_same(word: Word, position: int) -> int:
     """Earlier occurrences of this position's own letter."""
-    ch = _letter_at(word, position)
-    return word.letters.count(ch, 0, position - 1)
+    return _count_before(word, position, 0)
 
 
 def _cycle_pass(word: Word) -> Iterator[tuple[list[int], list[int]]]:

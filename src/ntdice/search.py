@@ -125,15 +125,18 @@ class Tournament(_Record):
             raise TournamentSpecError(f"vertex count {m!r} is not an integer")
         if m < 2:
             raise TournamentSpecError(f"need at least 2 vertices, got {m}")
-        chosen = frozenset(edges)
-        for i, j in chosen:
+        chosen = set()
+        for edge in edges:
+            # Only a 2-tuple is an edge; anything else fails as (None, None).
+            i, j = edge if isinstance(edge, tuple) and len(edge) == 2 else (None, None)
             if (
                 type(i) is not int
                 or type(j) is not int
                 or i == j
                 or not (0 <= i < m and 0 <= j < m)
             ):
-                raise TournamentSpecError(f"bad edge ({i!r}, {j!r}) for {m} vertices")
+                raise TournamentSpecError(f"bad edge {edge!r} for {m} vertices")
+            chosen.add(edge)
         for i in range(m):
             for j in range(i + 1, m):
                 forward, backward = (i, j) in chosen, (j, i) in chosen
@@ -145,7 +148,7 @@ class Tournament(_Record):
                     raise TournamentSpecError(
                         f"missing direction for pair {i + 1},{j + 1}"
                     )
-        return cls(m, chosen)
+        return cls(m, frozenset(chosen))
 
     @classmethod
     def from_text(cls, text: str) -> "Tournament":
@@ -379,7 +382,8 @@ def iter_words(n: int, m: int = 3, budget: int = DEFAULT_BUDGET) -> Iterator[str
 def _census_counts(n: int, m: int) -> tuple[int, int, int, int]:
     """(balanced, non-transitive, balanced non-transitive, irreducible) counts.
 
-    A layered transfer-matrix DP over states (placed[x], hi[x]) per die x,
+    A layered transfer-matrix DP, built by ``_census_layers`` and tallied
+    here from its last layer, over states (placed[x], hi[x]) per die x,
     kept as the flat pairs placed[0], hi[0], ..., placed[m-1], hi[m-1],
     plus ``thr``. hi[x] starts at n² and is x's upper cycle-win end over
     succ x, stepped by the bound of the module docstring, which reads
@@ -444,6 +448,29 @@ def _census_counts(n: int, m: int) -> tuple[int, int, int, int]:
     balanced cuts, periodic states when m is composite) need no special
     case.
     """
+    for layer in _census_layers(n, m):  # to the last, one layer alive at a time
+        pass
+    fair = nontransitive = bnt = irreducible = 0
+    for state, mass in layer.items():
+        thr = state[-1]
+        if not thr:
+            # Marked: non-transitive only, never tested for balance.
+            nontransitive += mass
+            continue
+        # Unmarked: every end is the common final W, and W >= half.
+        wins = state[1]
+        if 2 * wins > n * n:
+            nontransitive += mass
+            bnt += mass
+            if wins < thr:
+                irreducible += mass
+        else:
+            fair += mass
+    return 2 * bnt + fair, nontransitive, bnt, irreducible
+
+
+def _census_layers(n: int, m: int) -> Iterator[dict[tuple[int, ...], int]]:
+    """The census DP's layers as built, one per letter; derived in ``_census_counts``."""
     nsq = n * n
     need = nsq // 2 + 1
     half = (nsq + 1) // 2
@@ -503,23 +530,7 @@ def _census_counts(n: int, m: int) -> tuple[int, int, int, int]:
                 key += (mark,)
                 following[key] = following.get(key, 0) + mass
         layer = following
-    fair = nontransitive = bnt = irreducible = 0
-    for state, mass in layer.items():
-        thr = state[-1]
-        if not thr:
-            # Marked: non-transitive only, never tested for balance.
-            nontransitive += mass
-            continue
-        # Unmarked: every end is the common final W, and W >= half.
-        wins = state[1]
-        if 2 * wins > nsq:
-            nontransitive += mass
-            bnt += mass
-            if wins < thr:
-                irreducible += mass
-        else:
-            fair += mass
-    return 2 * bnt + fair, nontransitive, bnt, irreducible
+        yield layer
 
 
 def enumerate_words(

@@ -77,6 +77,8 @@ def test_verify_rows_unbalanced_exit(run):
     code, out, _ = run(["verify", "A: 1 2 3 / B: 4 5 6 / C: 7 8 9"])
     assert code == 1
     assert "unbalanced" in out
+    # Empty segments are skipped.
+    assert run(["verify", "A: 1 2 3 / / B: 4 5 6 / C: 7 8 9 /"]) == (code, out, "")
 
 
 def test_verify_doubled_word(run):
@@ -197,6 +199,34 @@ def test_verify_rejects_bool_labels(run):
     assert code == 2
     assert out == ""
     assert "True" in err
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("# a: 1", "no dice rows found"),
+        ("a: 2 1 / c: 4 3", "dice must be named ['a', 'b'], got ['a', 'c']"),
+        (
+            '{"schema":"dice-set/1","dice":{"a":[2,1],"c":[4,3]}}',
+            "dice must be named ['a', 'b'], got ['a', 'c']",
+        ),
+        ("a: 1 / A: 2", "line 1: die 'a' given twice"),
+        ('{"schema": }', "bad JSON at line 1, column 12: Expecting value"),
+        ('{"schema":"dice/0","dice":{}}', "expected schema 'dice-set/1', got 'dice/0'"),
+        (
+            '{"schema":"dice-set/1","dice":[]}',
+            "document field 'dice' must map letters to label arrays",
+        ),
+    ],
+    ids=[
+        "no-rows", "misnamed-rows", "misnamed-json", "given-twice", "bad-json",
+        "wrong-schema", "dice-not-a-map",
+    ],
+)
+def test_verify_refuses_malformed_dice_in_one_line(run, text, message):
+    code, out, err = run(["verify", text])
+    assert_usage_error(code, out, err)
+    assert err == f"error: {message}\n"
 
 
 def test_verify_directory_is_usage_error(run, tmp_path):

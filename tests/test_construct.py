@@ -97,6 +97,8 @@ def test_concat_mixed_bases():
 def test_concat_words_alphabet_mismatch():
     with pytest.raises(AlphabetMismatch):
         concat_words(word_of_dice(BASE_TRIPLES[3]), word_of_dice(BASE_QUADS[3]))
+    with pytest.raises(AlphabetMismatch, match="dice counts differ: 3 vs 4"):
+        concat_dice(BASE_TRIPLES[3], BASE_QUADS[3])
 
 
 def test_concat_dice_matches_label_shift():

@@ -20,6 +20,7 @@ from ntdice import (
     SameDie,
     TooManyDice,
     Tournament,
+    ValueOutOfRange,
     Verdict,
     WinOdds,
     Word,
@@ -149,11 +150,17 @@ def test_word_from_string_rejects_bad_letter():
 def test_word_from_string_rejects_uneven_counts():
     with pytest.raises(MalformedWord, match="'b' occurs 3"):
         Word.from_string("aabbbc", m=3)
+    with pytest.raises(MalformedWord, match="length 3 is not a multiple of m=2"):
+        Word.from_string("aab", 2)
 
 
 def test_word_from_string_infers_alphabet():
     w = Word.from_string(EX3_WORD)
-    assert w.m == 3 and w.n == 3
+    assert w.m == 3 and w.n == 3 and str(w) == EX3_WORD
+    with pytest.raises(MalformedWord, match="cannot infer alphabet size from an empty word"):
+        Word.from_string("")
+    with pytest.raises(MalformedWord, match="alphabet size 1 outside 2..26"):
+        Word.from_string("aaa")
 
 
 # -- word <-> dice correspondence -----------------------------------------------
@@ -541,7 +548,7 @@ def test_verdict_defaults():
 
 
 def test_win_odds_keeps_its_own_equality_and_range_check():
-    assert WinOdds(5, 9) == WinOdds(10, 18)
+    assert WinOdds(5, 9) == WinOdds(10, 18) and str(WinOdds(10, 18)) == "10/18"
     assert hash(WinOdds(5, 9)) == hash(WinOdds(10, 18))
     assert WinOdds(0, 9).wins == 0 and WinOdds(9, 9).wins == 9
     for wins in (-1, 10):
@@ -553,3 +560,13 @@ def test_win_odds_keeps_its_own_equality_and_range_check():
     for trials in (0, -1):
         with pytest.raises(ValueError, match=f"at least 1 trial, got {trials}"):
             WinOdds(0, trials)
+    # Counts are ints, as labels are: 1.5/9 would print, then fail to hash.
+    for wins, trials, bad in [
+        (1.5, 9, "wins 1.5"),
+        ("1", 9, "wins '1'"),
+        (True, 9, "wins True"),
+        (1, 9.0, "trials 9.0"),
+        (0, False, "trials False"),
+    ]:
+        with pytest.raises(ValueOutOfRange, match=f"^{bad} is not an integer$"):
+            WinOdds(wins, trials)

@@ -41,8 +41,15 @@ from ntdice import (
     word_count,
     word_of_dice,
 )
-from ntdice import construct
-from ntdice.search import _TAIL_WORDS, _backtrack, _bnt_rule, _edge_rule, _tail_length
+from ntdice import construct, search
+from ntdice.search import (
+    _TAIL_WORDS,
+    _backtrack,
+    _bnt_rule,
+    _census_layers,
+    _edge_rule,
+    _tail_length,
+)
 
 # Frozen from the brute-force oracle (sympy enumeration + Fraction odds).
 ORACLE_CENSUS = {
@@ -92,6 +99,26 @@ def census_tuple(c: Census) -> tuple[int, int, int, int, int]:
 
 def stream_digest(lines):
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def count_pushes(monkeypatch, name):
+    """Wrap the walk rule ``search.<name>`` so that every walk built from it
+    counts its ``push`` calls, the prefixes it tests, in the returned list's
+    one entry."""
+    calls = [0]
+    rule = getattr(search, name)
+
+    def counted_rule(*args):
+        push, *rest = rule(*args)
+
+        def counted_push(x):
+            calls[0] += 1
+            return push(x)
+
+        return (counted_push, *rest)
+
+    monkeypatch.setattr(search, name, counted_rule)
+    return calls
 
 
 # -- enumeration -------------------------------------------------------------------
@@ -444,6 +471,20 @@ def equal_face_sum_partitions(n: int) -> int:
 @pytest.mark.parametrize("n", range(1, 7))
 def test_census_balanced_matches_face_sum_partitions(n):
     assert enumerate_words(n, 3).balanced == equal_face_sum_partitions(n)
+
+
+@pytest.mark.parametrize("n,m,states", [(8, 3, 28488), (5, 4, 7223), (4, 5, 9756)])
+def test_census_dp_states_are_pinned(n, m, states):
+    # Every layer's states, start layer excluded. Fewer merges keep every
+    # count and show only here; a change that merges more or fewer states
+    # updates the pin on purpose.
+    assert sum(len(layer) for layer in _census_layers(n, m)) == states
+
+
+def test_bnt_walk_pushes_are_pinned(monkeypatch):
+    pushes = count_pushes(monkeypatch, "_bnt_rule")
+    assert sum(1 for _ in balanced_nontransitive_words(6, 3)) == 5730
+    assert pushes == [25968]
 
 
 @pytest.mark.parametrize("n,m,count", [(6, 3, 5730), (4, 4, 1976)])
@@ -807,6 +848,16 @@ def test_tournament_from_text_cycle():
     assert t.m == 3
     assert t.edges == frozenset({(0, 1), (1, 2), (2, 0)})
     assert t.beats(0, 1) and not t.beats(1, 0)
+    # Empty tokens are skipped.
+    assert Tournament.from_text("1>2,,2>3, 3>1,") == t
+
+
+def test_tournament_needs_two_vertices():
+    with pytest.raises(TournamentSpecError, match="need at least 2 vertices, got 1"):
+        Tournament.from_edges(1, [])
+    for text in ("", " , "):
+        with pytest.raises(TournamentSpecError, match="empty tournament specification"):
+            Tournament.from_text(text)
 
 
 def test_tournament_from_text_incomplete():
@@ -822,10 +873,12 @@ def test_tournament_from_text_contradictory():
 def test_tournament_from_text_bad_token():
     with pytest.raises(TournamentSpecError):
         Tournament.from_text("1-2,2>3,3>1")
+    with pytest.raises(TournamentSpecError, match="vertices are numbered from 1: '0>1'"):
+        Tournament.from_text("0>1,1>2,2>0")
 
 
 def test_tournament_from_edges_rejects_self_loop():
-    with pytest.raises(TournamentSpecError):
+    with pytest.raises(TournamentSpecError, match=r"^bad edge \(0, 0\) for 3 vertices$"):
         Tournament.from_edges(3, {(0, 0), (0, 1), (0, 2), (1, 2)})
 
 
@@ -835,11 +888,16 @@ def test_tournament_from_edges_rejects_self_loop():
         (3, [(0.0, 1), (1, 2), (2, 0)]),
         (3, [(0, 1), (True, 2), (2, 0)]),
         (3.0, [(0, 1), (1, 2), (2, 0)]),
+        (3, [(0, 1, 2)]),
+        (3, [0]),
+        (3, [[0, 1], [1, 2], [2, 0]]),
     ],
-    ids=["float-vertex", "bool-vertex", "float-count"],
+    ids=[
+        "float-vertex", "bool-vertex", "float-count", "triple-edge", "int-edge", "list-edges"
+    ],
 )
 def test_tournament_from_edges_rejects_non_integer_vertices(m, edges):
-    with pytest.raises(TournamentSpecError):
+    with pytest.raises(TournamentSpecError, match="^(bad edge|vertex count) "):
         Tournament.from_edges(m, edges)
 
 
@@ -934,11 +992,14 @@ def test_search_realization_exhausts_without_witness():
     assert search_realization(t, 1) is None
 
 
-def test_regular_five_vertex_tournament_is_walked_to_exhaustion():
+def test_regular_five_vertex_tournament_is_walked_to_exhaustion(monkeypatch):
     # x beats x+1 and x+2 mod 5. At n = 4 the walk itself runs out of words,
-    # since the check for one or two sides does not apply there.
+    # since the check for one or two sides does not apply there. Its pushes
+    # are pinned: a weaker prune keeps the answer and tests more prefixes.
     t = Tournament.from_edges(5, [(x, (x + d) % 5) for x in range(5) for d in (1, 2)])
+    pushes = count_pushes(monkeypatch, "_edge_rule")
     assert search_realization(t, 4, budget=word_count(4, 5)) is None
+    assert pushes == [635585]
     found = search_realization(t, 3, budget=word_count(3, 5))
     assert word_of_dice(found).letters == "adbeccbaededcba"
 
