@@ -72,6 +72,10 @@ MUTANTS = [
      "if n <= 2 and", "if n <= 3 and"),
     ("few-sides-check-on-transitive", "search.py",
      "!= list(range(m))", "!= list(range(1, m + 1))"),
+    ("plain-int-admits-subclasses", "core.py",
+     "return type(value) is int", "return isinstance(value, int)"),
+    ("int-token-skips-ascii-match", "core.py",
+     "if not _INTEGER.fullmatch(token):", "if False:"),
 ]
 
 

@@ -26,7 +26,8 @@ from .core import (
     DiceSet,
     WinOdds,
     Word,
-    _INTEGER,
+    _is_plain_int,
+    _parse_int,
     cycle_odds,
     dice_of_word,
     face_sums,
@@ -115,7 +116,7 @@ def _parse_document(text: str) -> DiceSet:
     for field in ("m", "n"):
         if field not in doc:
             continue
-        if type(doc[field]) is not int:  # not 3.0, not true
+        if not _is_plain_int(doc[field]):  # not 3.0, not true
             raise InputError(
                 f"document field {field!r} must be an integer, "
                 f"got {json.dumps(doc[field])}"
@@ -146,14 +147,10 @@ def _parse_rows(text: str) -> DiceSet:
                 raise InputError(f"line {lineno}: die {letter!r} given twice")
             labels = []
             for token in tail.split():
-                try:
-                    if not _INTEGER.fullmatch(token):
-                        raise ValueError(token)
-                    labels.append(int(token))  # ValueError past 4,300 digits
-                except ValueError:
-                    raise InputError(
-                        f"line {lineno}: bad label {token!r} on die {letter!r}"
-                    ) from None
+                label = _parse_int(token)
+                if label is None:
+                    raise InputError(f"line {lineno}: bad label {token!r} on die {letter!r}")
+                labels.append(label)
             rows[letter] = labels
     if not rows:
         raise InputError("no dice rows found")

@@ -52,6 +52,30 @@ ALPHABET = "abcdefghijklmnopqrstuvwxyz"
 _INTEGER = re.compile(r"[+-]?[0-9]+")
 
 
+def _is_plain_int(value: object) -> bool:
+    """True when ``value`` is an int and no subclass of it.
+
+    The one test behind every integer a caller hands in: die labels, win
+    counts, tournament vertices and their count, and a JSON document's
+    ``m`` and ``n``. Every int subclass is refused, ``bool`` and ``IntEnum``
+    members alike: JSON and the text grammars never produce one, and a
+    subclass may print as something other than its number.
+    """
+    return type(value) is int
+
+
+def _parse_int(token: str) -> int | None:
+    """The int an integer token spells, or None when it is not ASCII digits
+    with an optional sign or has more digits than ``int()`` reads (4,300 by
+    default)."""
+    if not _INTEGER.fullmatch(token):
+        return None
+    try:
+        return int(token)
+    except ValueError:
+        return None
+
+
 class _Record:
     """Base of the immutable value records, in place of frozen data classes.
 
@@ -183,7 +207,7 @@ class WinOdds(_Record):
 
     def __post_init__(self) -> None:
         for name, value in self.__dict__.items():
-            if not isinstance(value, int) or isinstance(value, bool):
+            if not _is_plain_int(value):
                 raise ValueOutOfRange(f"{name} {value!r} is not an integer")
         if self.trials < 1:
             raise ValueOutOfRange(f"need at least 1 trial, got {self.trials}")
@@ -267,12 +291,7 @@ def validate_dice(rows) -> DiceSet:
     for i, row in enumerate(dice):
         letter = ALPHABET[i]
         for label in row:
-            if (
-                not isinstance(label, int)
-                or isinstance(label, bool)
-                or label < 1
-                or label > top
-            ):
+            if not _is_plain_int(label) or label < 1 or label > top:
                 raise LabelOutOfRange(
                     f"label {label!r} on die {letter} outside 1..{top}"
                 )

@@ -74,9 +74,10 @@ from .core import (
     ALPHABET,
     DiceSet,
     Word,
-    _INTEGER,
     _Record,
     _cycle_pass,
+    _is_plain_int,
+    _parse_int,
     beat_count,
     dice_of_word,
     reorder_dice,
@@ -120,8 +121,7 @@ class Tournament(_Record):
 
     @classmethod
     def from_edges(cls, m: int, edges) -> "Tournament":
-        # Vertices and their count are plain ints; bool is refused too.
-        if type(m) is not int:
+        if not _is_plain_int(m):
             raise TournamentSpecError(f"vertex count {m!r} is not an integer")
         if m < 2:
             raise TournamentSpecError(f"need at least 2 vertices, got {m}")
@@ -129,12 +129,8 @@ class Tournament(_Record):
         for edge in edges:
             # Only a 2-tuple is an edge; anything else fails as (None, None).
             i, j = edge if isinstance(edge, tuple) and len(edge) == 2 else (None, None)
-            if (
-                type(i) is not int
-                or type(j) is not int
-                or i == j
-                or not (0 <= i < m and 0 <= j < m)
-            ):
+            plain = _is_plain_int(i) and _is_plain_int(j)
+            if not (plain and i != j and 0 <= i < m and 0 <= j < m):
                 raise TournamentSpecError(f"bad edge {edge!r} for {m} vertices")
             chosen.add(edge)
         for i in range(m):
@@ -158,13 +154,10 @@ class Tournament(_Record):
             token = token.strip()
             if not token:
                 continue
-            parts = [part.strip() for part in token.split(">")]
-            try:
-                if len(parts) != 2 or not all(map(_INTEGER.fullmatch, parts)):
-                    raise ValueError(token)
-                i, j = int(parts[0]), int(parts[1])  # ValueError past 4,300 digits
-            except ValueError:
-                raise TournamentSpecError(f"cannot parse edge {token!r}") from None
+            ends = [_parse_int(part.strip()) for part in token.split(">")]
+            if len(ends) != 2 or None in ends or ends[0] == ends[1]:
+                raise TournamentSpecError(f"cannot parse edge {token!r}")
+            i, j = ends
             if i < 1 or j < 1:
                 raise TournamentSpecError(f"vertices are numbered from 1: {token!r}")
             edges.add((i - 1, j - 1))

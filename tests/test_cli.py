@@ -579,14 +579,26 @@ def test_realize_contradictory_spec(run):
     "spec,edge",
     [
         # ARABIC-INDIC DIGITS ONE, TWO and THREE
-        ("\u0661>\u0662,\u0662>\u0663,\u0663>\u0661", "\u0661>\u0662"),
-        ("1>2,2>3,3>1_0", "3>1_0"),
+        ("\u0661>\u0662,\u0662>\u0663,\u0663>\u0661", "'\u0661>\u0662'"),
+        ("1>2,2>3,3>1_0", "'3>1_0'"),
+        # More digits than int() reads; the echo is clipped.
+        ("1>2,2>3,3>" + "1" * 5000, "'3>" + "1" * 178 + "\u2026"),
     ],
-    ids=["arabic-indic", "underscore"],
+    ids=["arabic-indic", "underscore", "long"],
 )
 def test_realize_vertices_are_ascii_integers(run, spec, edge):
     # The grammar of a row label: int() alone would read the first spec as
     # the 3-cycle and the second as naming vertex 10.
+    code, out, err = run(["realize", "--tournament", spec, "--sides", "3"])
+    assert_usage_error(code, out, err)
+    assert err == f"error: cannot parse edge {edge}\n"
+
+
+@pytest.mark.parametrize(
+    "spec,edge", [("1>2,2>2,1>3,3>2", "2>2"), ("1>1", "1>1")], ids=["in-cycle", "alone"]
+)
+def test_realize_self_loop_echoes_the_edge(run, spec, edge):
+    # Not a 0-based "bad edge (1, 1)", nor a count of vertices.
     code, out, err = run(["realize", "--tournament", spec, "--sides", "3"])
     assert_usage_error(code, out, err)
     assert err == f"error: cannot parse edge {edge!r}\n"

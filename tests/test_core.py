@@ -1,5 +1,7 @@
 """Core types, word encoding, exact odds, and the verification verdicts."""
 
+from enum import IntEnum
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -51,6 +53,9 @@ EX5 = [[15, 11, 7, 4, 3], [14, 10, 9, 5, 2], [13, 12, 8, 6, 1]]
 QUAD3 = [[12, 5, 2], [11, 8, 1], [10, 7, 3], [9, 6, 4]]
 EX3_WORD = "acbbaccba"
 
+# An int subclass other than bool: refused wherever a plain int is asked for.
+V = IntEnum("V", "A B C", start=0)
+
 
 @st.composite
 def dice_sets(draw, ms=(2, 3, 4), max_n=5):
@@ -101,6 +106,9 @@ def test_validate_label_out_of_range():
 def test_validate_rejects_bool_label():
     with pytest.raises(LabelOutOfRange, match="True"):
         validate_dice([[True, 2], [3, 4]])
+    # Any other int subclass too, as WinOdds and Tournament.from_edges do.
+    with pytest.raises(LabelOutOfRange, match="^label <V.B: 1> on die a "):
+        validate_dice([[V.B, 2], [3, 4]])
 
 
 def test_validate_wrong_side_count():
@@ -567,6 +575,7 @@ def test_win_odds_keeps_its_own_equality_and_range_check():
         (True, 9, "wins True"),
         (1, 9.0, "trials 9.0"),
         (0, False, "trials False"),
+        (V.B, 9, "wins <V.B: 1>"),
     ]:
         with pytest.raises(ValueOutOfRange, match=f"^{bad} is not an integer$"):
             WinOdds(wins, trials)

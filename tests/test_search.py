@@ -8,6 +8,7 @@ import math
 import random
 import time
 import tracemalloc
+from enum import IntEnum
 
 import pytest
 from hypothesis import given, settings
@@ -50,6 +51,9 @@ from ntdice.search import (
     _edge_rule,
     _tail_length,
 )
+
+# An int subclass other than bool.
+V = IntEnum("V", "A B C", start=0)
 
 # Frozen from the brute-force oracle (sympy enumeration + Fraction odds).
 ORACLE_CENSUS = {
@@ -891,9 +895,13 @@ def test_tournament_from_edges_rejects_self_loop():
         (3, [(0, 1, 2)]),
         (3, [0]),
         (3, [[0, 1], [1, 2], [2, 0]]),
+        # An int subclass is refused as a label and a win count are.
+        (3, [(V.A, V.B), (1, 2), (2, 0)]),
+        (V.C, [(0, 1)]),
     ],
     ids=[
-        "float-vertex", "bool-vertex", "float-count", "triple-edge", "int-edge", "list-edges"
+        "float-vertex", "bool-vertex", "float-count", "triple-edge", "int-edge", "list-edges",
+        "intenum-vertex", "intenum-count",
     ],
 )
 def test_tournament_from_edges_rejects_non_integer_vertices(m, edges):
