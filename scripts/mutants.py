@@ -76,6 +76,10 @@ MUTANTS = [
      "return type(value) is int", "return isinstance(value, int)"),
     ("int-token-skips-ascii-match", "core.py",
      "if not _INTEGER.fullmatch(token):", "if False:"),
+    ("walk-tail-one-letter-late", "search.py",
+     "if left == t:", "if left == t + 1:"),
+    ("walk-depth-ge", "search.py",
+     "if m * n > sys.getrecursionlimit() // 2:", "if m * n >= sys.getrecursionlimit() // 2:"),
 ]
 
 

@@ -336,7 +336,7 @@ def cmd_realize(args: argparse.Namespace) -> int:
         print("none")
         return EXIT_NEGATIVE
     # Both routes guarantee the result realizes the tournament: realize_k3
-    # checks it, and the search walker yields only words its per-edge test
+    # checks it, and the search walk yields only words its per-edge test
     # accepts, which at a full word is the tournament itself.
     annotations = {
         "command": f"realize --tournament {args.tournament} --sides {args.sides}",
@@ -377,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen = sub.add_parser(
         "gen", parents=[sides, fmt], help="construct a balanced non-transitive set"
     )
-    p_gen.add_argument("--dice", type=int, choices=(3, 4), default=3)
+    p_gen.add_argument("--dice", type=int, default=3)
     p_gen.set_defaults(func=cmd_gen)
 
     p_fib = sub.add_parser("fib", parents=[fmt], help="Fibonacci block constructions")

@@ -291,10 +291,10 @@ def validate_dice(rows) -> DiceSet:
     for i, row in enumerate(dice):
         letter = ALPHABET[i]
         for label in row:
-            if not _is_plain_int(label) or label < 1 or label > top:
-                raise LabelOutOfRange(
-                    f"label {label!r} on die {letter} outside 1..{top}"
-                )
+            if not _is_plain_int(label):
+                raise LabelOutOfRange(f"label {label!r} on die {letter} is not an integer")
+            if label < 1 or label > top:
+                raise LabelOutOfRange(f"label {label!r} on die {letter} outside 1..{top}")
             if label in owner:
                 raise DuplicateLabel(
                     f"label {label} appears on die {owner[label]} and die {letter}"

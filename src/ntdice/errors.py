@@ -12,7 +12,7 @@ class DuplicateLabel(DiceError):
 
 
 class LabelOutOfRange(DiceError):
-    """A label falls outside 1..m*n."""
+    """A label is not a plain integer, or falls outside 1..m*n."""
 
 
 class WrongSideCount(DiceError):

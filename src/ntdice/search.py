@@ -57,16 +57,18 @@ keeps a state that no longer can, marked, for the non-transitive count
 alone (``_census_counts``).
 
 Listing words, the balanced non-transitive scan and realization search
-share one iterative backtracker, ``_backtrack``, that visits words in
-lexicographic order and owns the walk; each caller brings only its rule,
-and the two listings share suffixes through a memoized tail. Nothing runs
-in parallel, so results never depend on ``jobs``, which is accepted and
-ignored.
+share one backtracker, ``_backtrack``: a recursion, one level per letter
+(``_walk``), that visits words in lexicographic order and owns the walk.
+Each caller brings only its rule, and the two listings share suffixes
+through a memoized tail built from one level of the same recursion.
+Nothing runs in parallel, so results never depend on ``jobs``, which is
+accepted and ignored.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Callable, Iterator
 
 from .construct import _check_labels, construct_balanced_nontransitive
@@ -256,10 +258,11 @@ def _tail(
     memo: dict, placed: list[int], n: int, push, pop, ends: list[int], left: int
 ) -> list[str]:
     """Every completion of the current prefix, ``left`` letters long, in
-    lexicographic order: each live letter followed by each completion one
-    letter shorter, memoized per state ``placed`` + ``ends`` (``_backtrack``).
-    A full word's one completion is the empty suffix, returned before
-    ``ends`` is read, so a walk with no ends calls it too.
+    lexicographic order, memoized per state ``placed`` + ``ends``
+    (``_backtrack``): one level of ``_walk``, each live letter followed by
+    each completion one letter shorter. A full word's one completion is the
+    empty suffix, returned before ``ends`` is read, so a walk with no ends
+    calls it too.
 
     A plain recursive function, not a closure, so ``memo`` is freed by
     reference counting as soon as the walk that owns it ends.
@@ -269,19 +272,37 @@ def _tail(
     state = tuple(placed) + tuple(ends)
     found = memo.get(state)
     if found is None:
-        found = []
-        for x, count in enumerate(placed):
-            if count == n:
-                continue
-            placed[x] = count + 1
-            if not push(x):
-                head = ALPHABET[x]
-                below = _tail(memo, placed, n, push, pop, ends, left - 1)
-                found += [head + suffix for suffix in below]
-            placed[x] = count
-            pop(x)
-        memo[state] = found
+        below = _walk(memo, placed, n, push, pop, ends, left, left - 1, "")
+        found = memo[state] = [head + suffix for head, tails in below for suffix in tails]
     return found
+
+
+def _walk(
+    memo: dict, placed: list[int], n: int, push, pop, ends, left: int, t: int, prefix: str
+) -> Iterator[tuple[str, list[str]]]:
+    """The walk below ``prefix``, ``left`` letters short of a word: one pair
+    (live prefix t letters short, ``_tail``'s list of its completions) per
+    such prefix, in lexicographic order (``_backtrack``)."""
+    if left == t:
+        yield prefix, _tail(memo, placed, n, push, pop, ends, left)
+        return
+    for x, count in enumerate(placed):
+        if count == n:
+            continue
+        placed[x] = count + 1
+        if not push(x):
+            yield from _walk(
+                memo, placed, n, push, pop, ends, left - 1, t, prefix + ALPHABET[x]
+            )
+        placed[x] = count
+        pop(x)
+
+
+def _spell(pairs: Iterator[tuple[str, list[str]]]) -> Iterator[str]:
+    """Each prefix followed by each of its completions, as words."""
+    for prefix, suffixes in pairs:
+        for suffix in suffixes:
+            yield prefix + suffix
 
 
 def _backtrack(
@@ -290,80 +311,50 @@ def _backtrack(
     """Walk every word with n of each of m letters in lexicographic order.
 
     Not a generator itself: it refuses a size out of range or over
-    ``budget`` (``_check_budget``) as soon as it is called, then returns
-    the walk. The walker owns ``placed``, the prefix's count of each
-    letter, and only it changes them. ``rule(placed)`` is called once,
-    after the check, so a caller builds its m-sized state only for sizes
-    the gate admits; it returns the caller's ``(push, pop, ends)``. After
-    each placement of letter x, the one that completes a word included,
-    the walker counts it in ``placed`` and calls ``push(x)``, which reads
-    ``placed``, steps the caller's ends (the bound of the module
-    docstring) and answers whether the prefix is dead; before undoing a
-    placement it uncounts it and calls ``pop(x)``, which undoes the step.
-    A true answer cuts the subtree below an inner node and drops a full
-    word, so ``push`` is the one leaf rule: only full words where it is
-    false are yielded, spelled as strings.
+    ``budget`` (``_check_budget``), or too long to walk, as soon as it is
+    called, then returns the walk. ``_walk`` recurses once per letter, so
+    mn past half the interpreter's recursion limit is refused as a
+    ``SearchSizeError``; only a budget above 10^149 admits such a size.
 
-    Every walk stops at a depth ``top`` and yields the prefix followed by
-    each suffix of the completion list ``_tail`` gives for the mn - top
-    letters left. A caller whose ``push`` answers depend only on
-    ``placed`` and on the list ``ends`` (``hi`` for the scan, an empty
-    list for ``iter_words``) passes that list to memoize the tail: a
-    prefix's completions then depend only on ``placed`` + ``ends``, so
-    ``_tail`` builds each state's list once, with the lists of the states
-    below it, the first time the state is reached. The walk stops at
-    top = mn - t with t = ``_tail_length(n, m)``: at most m^t <=
-    _TAIL_WORDS suffixes have t letters, so no list outgrows that, and
-    t < mn, since the walker compares its depth with ``top`` only after a
-    placement. Under a fixed prefix the suffix order is the word order, so
-    the stream is the plain walk's. The memo belongs to the walk and goes
-    when the walk ends.
+    The walk owns ``placed``, the prefix's count of each letter.
+    ``rule(placed)`` is called once, after the checks, so a caller builds
+    its m-sized state only for sizes the gates admit; it returns the
+    caller's ``(push, pop, ends)``. After each placement of letter x, the
+    one that completes a word included, the walk counts it in ``placed``
+    and calls ``push(x)``, which reads ``placed``, steps the caller's ends
+    (the bound of the module docstring) and answers whether the prefix is
+    dead; before undoing a placement it uncounts it and calls ``pop(x)``,
+    which undoes the step. A true answer cuts the subtree below an inner
+    node and drops a full word, so ``push`` is the one leaf rule.
 
-    ``ends`` None gives the plain walk: top = mn, so every word is walked
-    to its last letter, with the caller's state at that leaf when it is
-    yielded, and its one suffix is the empty one. Realization passes None:
-    it wants only the first word, and a memoized walk builds the first
-    list whole before its first word comes out.
+    The walk stops t letters short of a word and yields each live prefix
+    with the list of its completions from ``_tail``, and ``_spell`` joins
+    them into words, so words pass up the recursion in batches. A caller
+    whose ``push`` answers depend only on ``placed`` and on the list
+    ``ends`` (``hi`` for the scan, an empty list for ``iter_words``)
+    passes that list to memoize the tail: a prefix's completions then
+    depend only on ``placed`` + ``ends``, so ``_tail`` builds each state's
+    list once, the first time the state is reached. The tail is
+    t = ``_tail_length(n, m)`` letters long: at most m^t <= _TAIL_WORDS
+    suffixes have t letters, so no list outgrows that, and t < mn, so the
+    walk places at least the first letter itself and even a space that
+    fits one list streams one first letter at a time. Under a fixed prefix
+    the suffix order is the word order, so the stream is the plain walk's.
+    The memo belongs to the walk and goes when the walk ends.
+
+    ``ends`` None gives the plain walk: t = 0, so every word is walked to
+    its last letter, with the caller's state at that leaf when it is
+    yielded. Realization passes None: it wants only the first word, and a
+    memoized walk builds the first list whole before its first word comes
+    out.
     """
     _check_budget(n, m, budget)
+    if m * n > sys.getrecursionlimit() // 2:
+        raise SearchSizeError(f"{m * n} letters at n={n}, m={m} are too many to walk")
     placed = [0] * m
     push, pop, ends = rule(placed)
-    mn = m * n
-    top = mn if ends is None else mn - _tail_length(n, m)
-
-    def walk() -> Iterator[str]:
-        memo: dict = {}
-        word = [0] * mn
-        depth = 0
-        letter = 0
-        while True:
-            while letter < m and placed[letter] == n:
-                letter += 1
-            if letter == m:
-                if depth == 0:
-                    return
-                depth -= 1
-                letter = word[depth]
-                placed[letter] -= 1
-                pop(letter)
-                letter += 1
-                continue
-            word[depth] = letter
-            placed[letter] += 1
-            depth += 1
-            if not push(letter):
-                if depth != top:
-                    letter = 0
-                    continue
-                prefix = "".join([ALPHABET[x] for x in word[:top]])
-                for suffix in _tail(memo, placed, n, push, pop, ends, mn - top):
-                    yield prefix + suffix
-            depth -= 1
-            placed[letter] -= 1
-            pop(letter)
-            letter += 1
-
-    return walk()
+    t = 0 if ends is None else _tail_length(n, m)
+    return _spell(_walk({}, placed, n, push, pop, ends, m * n, t, ""))
 
 
 def iter_words(n: int, m: int = 3, budget: int = DEFAULT_BUDGET) -> Iterator[str]:
@@ -698,7 +689,7 @@ def _edge_rule(tournament: Tournament, n: int, placed: list[int]):
 
     hi[x][y], for each edge x -> y of the tournament, is the upper end of
     x's final wins over y; ``push`` answers whether an end of the placed
-    die fell below n²//2 + 1. The walker pushes only onto live prefixes,
+    die fell below n²//2 + 1. The walk pushes only onto live prefixes,
     and no other end moved, so that is whether any end did. Its ends are
     None, so the walk is not memoized (``_backtrack`` says why).
     """

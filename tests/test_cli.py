@@ -217,10 +217,14 @@ def test_verify_rejects_bool_labels(run):
             '{"schema":"dice-set/1","dice":[]}',
             "document field 'dice' must map letters to label arrays",
         ),
+        (
+            '{"schema":"dice-set/1","dice":{"a":[2.0,1],"b":[3,4]}}',
+            "label 2.0 on die a is not an integer",
+        ),
     ],
     ids=[
         "no-rows", "misnamed-rows", "misnamed-json", "given-twice", "bad-json",
-        "wrong-schema", "dice-not-a-map",
+        "wrong-schema", "dice-not-a-map", "float-label",
     ],
 )
 def test_verify_refuses_malformed_dice_in_one_line(run, text, message):
@@ -326,6 +330,13 @@ def test_gen_too_few_sides(run):
     code, _, err = run(["gen", "--sides", "2"])
     assert code == 2
     assert "at least 3 sides" in err
+
+
+def test_gen_dice_without_a_catalog(run):
+    # construct.base_example owns which dice counts gen builds.
+    code, out, err = run(["gen", "--sides", "3", "--dice", "5"])
+    assert_usage_error(code, out, err)
+    assert err == "error: no base catalog for 5 dice\n"
 
 
 def test_gen_four_dice_passes_verify(run):
@@ -513,6 +524,15 @@ def test_huge_word_spaces_are_refused_in_one_line(argv, size):
     assert time.perf_counter() - start < 10
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr == f"error: {size} exceed budget 100000000\n"
+
+
+def test_walk_too_long_to_recurse_is_refused_in_one_line(run):
+    # 504 letters, past half the default recursion limit; a budget large
+    # enough to admit the word space leaves the walk-depth gate to refuse.
+    argv = ["realize", "--tournament", "1>2,1>3,1>4,2>3,2>4,3>4", "--sides", "126"]
+    code, out, err = run([*argv, "--budget", str(10 ** 3000)])
+    assert_usage_error(code, out, err)
+    assert err == "error: 504 letters at n=126, m=4 are too many to walk\n"
 
 
 def test_search_jobs_flag_changes_nothing(run):

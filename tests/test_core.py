@@ -107,7 +107,7 @@ def test_validate_rejects_bool_label():
     with pytest.raises(LabelOutOfRange, match="True"):
         validate_dice([[True, 2], [3, 4]])
     # Any other int subclass too, as WinOdds and Tournament.from_edges do.
-    with pytest.raises(LabelOutOfRange, match="^label <V.B: 1> on die a "):
+    with pytest.raises(LabelOutOfRange, match="^label <V.B: 1> on die a is not an integer$"):
         validate_dice([[V.B, 2], [3, 4]])
 
 

@@ -6,6 +6,7 @@ import hashlib
 import itertools
 import math
 import random
+import sys
 import time
 import tracemalloc
 from enum import IntEnum
@@ -188,6 +189,39 @@ def test_tail_lists_have_a_fixed_bound():
         assert m ** t <= _TAIL_WORDS < m ** (t + 1)
         for n in (1, 2):
             assert _tail_length(n, m) == min(t, m * n - 1)
+
+
+def record_tail_lengths(monkeypatch):
+    """Wrap ``search._tail`` so that every call, the walk's and its own,
+    appends the ``left`` it is asked for to the returned list."""
+    lefts = []
+    tail = search._tail
+
+    def recorded(*args):
+        lefts.append(args[-1])
+        return tail(*args)
+
+    monkeypatch.setattr(search, "_tail", recorded)
+    return lefts
+
+
+@pytest.mark.parametrize(
+    "walk,n,m",
+    [(iter_words, 5, 3), (iter_words, 1, 11), (balanced_nontransitive_words, 6, 3)],
+    ids=["words-5-3", "words-1-11", "bnt-6-3"],
+)
+def test_memoized_walks_start_their_tail_at_its_length(monkeypatch, walk, n, m):
+    # The digests cannot see where the tail starts; the deepest tail is it.
+    lefts = record_tail_lengths(monkeypatch)
+    assert sum(1 for _ in itertools.islice(walk(n, m), 10_000)) > 0
+    assert max(lefts) == _tail_length(n, m)
+
+
+def test_realization_walks_every_letter(monkeypatch):
+    lefts = record_tail_lengths(monkeypatch)
+    t = Tournament.from_edges(4, majority_digraph(BASE_QUADS[3]))
+    assert search_realization(t, 3) is not None
+    assert lefts and max(lefts) == 0
 
 
 @pytest.mark.parametrize(
@@ -1128,6 +1162,20 @@ def test_search_realization_budget():
         search_realization(t, 2, budget=89)
     with pytest.raises(SearchSizeError):
         search_realization(t, 0)
+
+
+def test_walk_depth_is_refused_past_half_the_recursion_limit(monkeypatch):
+    # The walk recurses once per letter. The transitive tournament's first
+    # word needs no backtracking, so the longest admitted walk answers.
+    t = Tournament.from_text("1>2,1>3,1>4,2>3,2>4,3>4")
+    n = sys.getrecursionlimit() // 2 // 4
+    pushes = count_pushes(monkeypatch, "_edge_rule")
+    refusal = f"^{4 * n + 4} letters at n={n + 1}, m=4 are too many to walk$"
+    with pytest.raises(SearchSizeError, match=refusal):
+        search_realization(t, n + 1, budget=10 ** 3000)
+    assert pushes == [0]
+    found = search_realization(t, n, budget=10 ** 3000)
+    assert majority_digraph(found) == t.edges
 
 
 # -- value records -------------------------------------------------------------------------------
