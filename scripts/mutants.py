@@ -79,7 +79,9 @@ MUTANTS = [
     ("walk-tail-one-letter-late", "search.py",
      "if left == t:", "if left == t + 1:"),
     ("walk-depth-ge", "search.py",
-     "if m * n > sys.getrecursionlimit() // 2:", "if m * n >= sys.getrecursionlimit() // 2:"),
+     "if m * n > min(", "if m * n >= min("),
+    ("walk-room-ignores-caller", "search.py",
+     "room, frame = room - 1, frame.f_back", "room, frame = room, frame.f_back"),
 ]
 
 

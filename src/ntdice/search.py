@@ -3,13 +3,13 @@
 The census lists no words. Its total is the closed form, and whether a word
 is balanced or non-transitive depends only on its final cycle-win vector,
 so a layered transfer-matrix DP over (letters placed, upper win end) per
-die counts those classes (``_census_counts``). Whether a balanced
+die counts those classes (``_census_layers``). Whether a balanced
 non-transitive word is irreducible depends only on that vector and on the
 cycle wins at each cut where every die has placed the same number of
 letters, so the same DP, carrying one threshold per state
 (``_cut_threshold``), counts the irreducible words too. Each DP layer keeps
 one state per orbit of the letter rotation x -> succ x, about m times fewer
-states than one per rotation, and ``_census_counts`` shows why stepping one
+states than one per rotation, and ``_census_layers`` shows why stepping one
 representative per orbit is exact.
 
 The census, the balanced non-transitive scan and realization search all
@@ -54,7 +54,7 @@ onto those with n² - W, and
 where a fair word has 2W = n², which needs n even. The DP therefore asks
 only whether the intervals can still meet at some W >= ceil(n²/2), and
 keeps a state that no longer can, marked, for the non-transitive count
-alone (``_census_counts``).
+alone (``_census_layers``).
 
 Listing words, the balanced non-transitive scan and realization search
 share one backtracker, ``_backtrack``: a recursion, one level per letter
@@ -254,9 +254,7 @@ def _tail_length(n: int, m: int) -> int:
     return min(t, m * n - 1)
 
 
-def _tail(
-    memo: dict, placed: list[int], n: int, push, pop, ends: list[int], left: int
-) -> list[str]:
+def _tail(walk: tuple, left: int) -> list[str]:
     """Every completion of the current prefix, ``left`` letters long, in
     lexicographic order, memoized per state ``placed`` + ``ends``
     (``_backtrack``): one level of ``_walk``, each live letter followed by
@@ -269,31 +267,30 @@ def _tail(
     """
     if not left:
         return [""]
+    memo, placed, n, push, pop, ends = walk
     state = tuple(placed) + tuple(ends)
     found = memo.get(state)
     if found is None:
-        below = _walk(memo, placed, n, push, pop, ends, left, left - 1, "")
+        below = _walk(walk, left, left - 1, "")
         found = memo[state] = [head + suffix for head, tails in below for suffix in tails]
     return found
 
 
-def _walk(
-    memo: dict, placed: list[int], n: int, push, pop, ends, left: int, t: int, prefix: str
-) -> Iterator[tuple[str, list[str]]]:
+def _walk(walk: tuple, left: int, t: int, prefix: str) -> Iterator[tuple[str, list[str]]]:
     """The walk below ``prefix``, ``left`` letters short of a word: one pair
     (live prefix t letters short, ``_tail``'s list of its completions) per
-    such prefix, in lexicographic order (``_backtrack``)."""
+    such prefix, in lexicographic order (``_backtrack``). ``walk`` is the
+    run's constants, ``(memo, placed, n, push, pop, ends)``."""
     if left == t:
-        yield prefix, _tail(memo, placed, n, push, pop, ends, left)
+        yield prefix, _tail(walk, left)
         return
+    _, placed, n, push, pop, _ = walk
     for x, count in enumerate(placed):
         if count == n:
             continue
         placed[x] = count + 1
         if not push(x):
-            yield from _walk(
-                memo, placed, n, push, pop, ends, left - 1, t, prefix + ALPHABET[x]
-            )
+            yield from _walk(walk, left - 1, t, prefix + ALPHABET[x])
         placed[x] = count
         pop(x)
 
@@ -314,7 +311,12 @@ def _backtrack(
     ``budget`` (``_check_budget``), or too long to walk, as soon as it is
     called, then returns the walk. ``_walk`` recurses once per letter, so
     mn past half the interpreter's recursion limit is refused as a
-    ``SearchSizeError``; only a budget above 10^149 admits such a size.
+    ``SearchSizeError``; only a budget above 10^149 admits such a size. So
+    is mn past the frames the limit leaves above the caller's stack, less
+    64: beyond one frame per letter, the tail (t below) takes about
+    3t + 4 more, 43 at m = 2. A deep caller thus gets the same one-line
+    refusal instead of a ``RecursionError``. The gate sees the stack that
+    creates the walk, not a deeper one that later consumes it.
 
     The walk owns ``placed``, the prefix's count of each letter.
     ``rule(placed)`` is called once, after the checks, so a caller builds
@@ -349,12 +351,15 @@ def _backtrack(
     out.
     """
     _check_budget(n, m, budget)
-    if m * n > sys.getrecursionlimit() // 2:
+    room, frame = sys.getrecursionlimit() - 64, sys._getframe()
+    while frame:  # less the frames below the walk, this one included
+        room, frame = room - 1, frame.f_back
+    if m * n > min(sys.getrecursionlimit() // 2, room):
         raise SearchSizeError(f"{m * n} letters at n={n}, m={m} are too many to walk")
     placed = [0] * m
     push, pop, ends = rule(placed)
     t = 0 if ends is None else _tail_length(n, m)
-    return _spell(_walk({}, placed, n, push, pop, ends, m * n, t, ""))
+    return _spell(_walk(({}, placed, n, push, pop, ends), m * n, t, ""))
 
 
 def iter_words(n: int, m: int = 3, budget: int = DEFAULT_BUDGET) -> Iterator[str]:
@@ -363,17 +368,17 @@ def iter_words(n: int, m: int = 3, budget: int = DEFAULT_BUDGET) -> Iterator[str
     return _backtrack(n, m, budget, lambda placed: no_rule)
 
 
-def _census_counts(n: int, m: int) -> tuple[int, int, int, int]:
-    """(balanced, non-transitive, balanced non-transitive, irreducible) counts.
+def _census_layers(n: int, m: int) -> Iterator[dict[tuple[int, ...], int]]:
+    """The census DP's layers as built, one per letter, each a dict from
+    state to mass; ``enumerate_words`` tallies the last one.
 
-    A layered transfer-matrix DP, built by ``_census_layers`` and tallied
-    here from its last layer, over states (placed[x], hi[x]) per die x,
+    A layered transfer-matrix DP over states (placed[x], hi[x]) per die x,
     kept as the flat pairs placed[0], hi[0], ..., placed[m-1], hi[m-1],
     plus ``thr``. hi[x] starts at n² and is x's upper cycle-win end over
     succ x, stepped by the bound of the module docstring, which reads
     nothing but the state, so prefixes that share a state share their
     completions. The DP counts only the balanced words whose common win
-    count W is at least half = ceil(n²/2), and returns balanced =
+    count W is at least half = ceil(n²/2), and the tally gives balanced =
     2·bnt + fair, with fair the words at 2W = n², by the letter reflection
     of the module docstring. A state is dropped once its cycle-win
     intervals show it can end neither balanced at such a W nor
@@ -432,29 +437,6 @@ def _census_counts(n: int, m: int) -> tuple[int, int, int, int]:
     balanced cuts, periodic states when m is composite) need no special
     case.
     """
-    for layer in _census_layers(n, m):  # to the last, one layer alive at a time
-        pass
-    fair = nontransitive = bnt = irreducible = 0
-    for state, mass in layer.items():
-        thr = state[-1]
-        if not thr:
-            # Marked: non-transitive only, never tested for balance.
-            nontransitive += mass
-            continue
-        # Unmarked: every end is the common final W, and W >= half.
-        wins = state[1]
-        if 2 * wins > n * n:
-            nontransitive += mass
-            bnt += mass
-            if wins < thr:
-                irreducible += mass
-        else:
-            fair += mass
-    return 2 * bnt + fair, nontransitive, bnt, irreducible
-
-
-def _census_layers(n: int, m: int) -> Iterator[dict[tuple[int, ...], int]]:
-    """The census DP's layers as built, one per letter; derived in ``_census_counts``."""
     nsq = n * n
     need = nsq // 2 + 1
     half = (nsq + 1) // 2
@@ -524,18 +506,35 @@ def enumerate_words(
 
     No word is walked to count it: the total is the closed form and the
     balanced, non-transitive, balanced non-transitive and irreducible
-    counts all come from the DP in ``_census_counts``, which counts the
-    balanced words as 2·(balanced non-transitive) + fair by the letter
-    reflection of the module docstring. ``jobs`` is accepted for
-    compatibility and ignored.
+    counts all come from the last layer of the DP in ``_census_layers``,
+    tallied here, which counts the balanced words as
+    2·(balanced non-transitive) + fair by the letter reflection of the
+    module docstring. ``jobs`` is accepted for compatibility and ignored.
     """
     total = _check_budget(n, m, budget)
-    balanced, nontransitive, bnt, irreducible = _census_counts(n, m)
+    for layer in _census_layers(n, m):  # to the last, one layer alive at a time
+        pass
+    fair = nontransitive = bnt = irreducible = 0
+    for state, mass in layer.items():
+        thr = state[-1]
+        if not thr:
+            # Marked: non-transitive only, never tested for balance.
+            nontransitive += mass
+            continue
+        # Unmarked: every end is the common final W, and W >= half.
+        wins = state[1]
+        if 2 * wins > n * n:
+            nontransitive += mass
+            bnt += mass
+            if wins < thr:
+                irreducible += mass
+        else:
+            fair += mass
     return Census(
         n=n,
         m=m,
         total_words=total,
-        balanced=balanced,
+        balanced=2 * bnt + fair,
         nontransitive=nontransitive,
         balanced_nontransitive=bnt,
         irreducible_bnt=irreducible,

@@ -506,9 +506,26 @@ def equal_face_sum_partitions(n: int) -> int:
     return states.get((n, target, n, target), 0)
 
 
-@pytest.mark.parametrize("n", range(1, 7))
-def test_census_balanced_matches_face_sum_partitions(n):
-    assert enumerate_words(n, 3).balanced == equal_face_sum_partitions(n)
+@pytest.mark.parametrize(
+    "n,balanced",
+    [
+        (1, 0),
+        (2, 6),
+        (3, 12),
+        (4, 192),
+        (5, 1830),
+        (6, 25986),
+        pytest.param(8, 6150678, marks=pytest.mark.slow),
+        pytest.param(9, 104972070, marks=pytest.mark.slow),
+    ],
+    ids=["1", "2", "3", "4", "5", "6", "8", "9"],
+)
+def test_census_balanced_matches_face_sum_partitions(n, balanced):
+    census = enumerate_words(n, 3, budget=word_count(n, 3))
+    assert census.balanced == equal_face_sum_partitions(n) == balanced
+    if n % 2:
+        # No word is fair at odd n, so the face-sum route checks BNT too.
+        assert census.balanced == 2 * census.balanced_nontransitive
 
 
 @pytest.mark.parametrize("n,m,states", [(8, 3, 28488), (5, 4, 7223), (4, 5, 9756)])
@@ -1175,6 +1192,30 @@ def test_walk_depth_is_refused_past_half_the_recursion_limit(monkeypatch):
         search_realization(t, n + 1, budget=10 ** 3000)
     assert pushes == [0]
     found = search_realization(t, n, budget=10 ** 3000)
+    assert majority_digraph(found) == t.edges
+
+
+def stack_depth() -> int:
+    frame, depth = sys._getframe(), 0
+    while frame:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def called_at_depth(depth: int, call):
+    """``call()``, made with ``depth`` frames on the stack below it."""
+    return call() if stack_depth() >= depth else called_at_depth(depth, call)
+
+
+def test_walk_depth_counts_the_callers_frames():
+    # 510 frames deep, 500 letters would overflow the recursion limit; the
+    # gate refuses them in one line, and 400 letters still fit.
+    assert sys.getrecursionlimit() == 1000
+    t = Tournament.from_text("1>2,1>3,1>4,2>3,2>4,3>4")
+    refusal = "^500 letters at n=125, m=4 are too many to walk$"
+    with pytest.raises(SearchSizeError, match=refusal):
+        called_at_depth(510, lambda: search_realization(t, 125, budget=10 ** 3000))
+    found = called_at_depth(510, lambda: search_realization(t, 100, budget=10 ** 3000))
     assert majority_digraph(found) == t.edges
 
 

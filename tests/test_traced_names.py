@@ -1,5 +1,6 @@
 """The traced benchmark wraps ntdice functions by name; those names must exist,
-and the walks it follows must be generators."""
+and the walks it follows must be generators. The seeded mutants edit ntdice
+source by text; each text must still occur once."""
 
 import ast
 import importlib
@@ -9,23 +10,24 @@ from pathlib import Path
 from ntdice import Tournament, balanced_nontransitive_words, iter_words
 from ntdice.search import _backtrack, _edge_rule
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
 
 
-def traced_layers():
+def assigned(script: Path, name: str):
+    """The literal value a script assigns to ``name`` at module level."""
     # Parsed, not imported, so the check writes nothing beside the script.
-    tree = ast.parse(TRACING.read_text(encoding="utf-8"))
+    tree = ast.parse(script.read_text(encoding="utf-8"))
     for node in tree.body:
         if isinstance(node, ast.Assign) and any(
-            isinstance(target, ast.Name) and target.id == "LAYERS"
+            isinstance(target, ast.Name) and target.id == name
             for target in node.targets
         ):
             return ast.literal_eval(node.value)
-    raise AssertionError(f"no LAYERS assignment in {TRACING}")
+    raise AssertionError(f"no {name} assignment in {script}")
 
 
 def test_every_traced_name_is_a_callable_of_its_module():
-    layers = traced_layers()
+    layers = assigned(ROOT / "perfbench" / "tracing.py", "LAYERS")
     assert layers
     for layer, names in layers.items():
         module = importlib.import_module(f"ntdice.{layer}")
@@ -44,3 +46,13 @@ def test_listings_and_the_realization_walk_are_generators():
     ]
     for walk in walks:
         assert isinstance(walk, types.GeneratorType)
+
+
+def test_every_mutant_anchor_occurs_once_in_its_file():
+    # scripts/mutants.py refuses to run when an anchor is lost; this finds
+    # it in the fast tier instead.
+    mutants = assigned(ROOT / "scripts" / "mutants.py", "MUTANTS")
+    assert mutants
+    for name, file, old, _ in mutants:
+        text = (ROOT / "src" / "ntdice" / file).read_text(encoding="utf-8")
+        assert text.count(old) == 1, f"{name}: {old!r} in {file}"
