@@ -78,10 +78,8 @@ MUTANTS = [
      "if not _INTEGER.fullmatch(token):", "if False:"),
     ("walk-tail-one-letter-late", "search.py",
      "if left == t:", "if left == t + 1:"),
-    ("walk-depth-ge", "search.py",
-     "if m * n > min(", "if m * n >= min("),
-    ("walk-room-ignores-caller", "search.py",
-     "room, frame = room - 1, frame.f_back", "room, frame = room, frame.f_back"),
+    ("walk-overflow-uncaught", "search.py",
+     "except RecursionError:", "except LookupError:"),
 ]
 
 

@@ -68,7 +68,6 @@ accepted and ignored.
 from __future__ import annotations
 
 import math
-import sys
 from collections.abc import Callable, Iterator
 
 from .construct import _check_labels, construct_balanced_nontransitive
@@ -295,11 +294,15 @@ def _walk(walk: tuple, left: int, t: int, prefix: str) -> Iterator[tuple[str, li
         pop(x)
 
 
-def _spell(pairs: Iterator[tuple[str, list[str]]]) -> Iterator[str]:
-    """Each prefix followed by each of its completions, as words."""
-    for prefix, suffixes in pairs:
-        for suffix in suffixes:
-            yield prefix + suffix
+def _spell(pairs: Iterator[tuple[str, list[str]]], n: int, m: int) -> Iterator[str]:
+    """Each prefix followed by each of its completions, as words. A walk
+    too deep for the stack that runs it ends as one ``SearchSizeError``."""
+    try:
+        for prefix, suffixes in pairs:
+            for suffix in suffixes:
+                yield prefix + suffix
+    except RecursionError:
+        raise SearchSizeError(f"{m * n} letters at n={n}, m={m} are too many to walk") from None
 
 
 def _backtrack(
@@ -308,19 +311,14 @@ def _backtrack(
     """Walk every word with n of each of m letters in lexicographic order.
 
     Not a generator itself: it refuses a size out of range or over
-    ``budget`` (``_check_budget``), or too long to walk, as soon as it is
-    called, then returns the walk. ``_walk`` recurses once per letter, so
-    mn past half the interpreter's recursion limit is refused as a
-    ``SearchSizeError``; only a budget above 10^149 admits such a size. So
-    is mn past the frames the limit leaves above the caller's stack, less
-    64: beyond one frame per letter, the tail (t below) takes about
-    3t + 4 more, 43 at m = 2. A deep caller thus gets the same one-line
-    refusal instead of a ``RecursionError``. The gate sees the stack that
-    creates the walk, not a deeper one that later consumes it.
+    ``budget`` (``_check_budget``) as soon as it is called, then returns
+    the walk. ``_walk`` recurses once per letter, so a walk too deep for
+    the stack that consumes it ends as a ``SearchSizeError`` from
+    ``_spell``, wherever it was created.
 
     The walk owns ``placed``, the prefix's count of each letter.
-    ``rule(placed)`` is called once, after the checks, so a caller builds
-    its m-sized state only for sizes the gates admit; it returns the
+    ``rule(placed)`` is called once, after the check, so a caller builds
+    its m-sized state only for sizes the budget admits; it returns the
     caller's ``(push, pop, ends)``. After each placement of letter x, the
     one that completes a word included, the walk counts it in ``placed``
     and calls ``push(x)``, which reads ``placed``, steps the caller's ends
@@ -351,15 +349,10 @@ def _backtrack(
     out.
     """
     _check_budget(n, m, budget)
-    room, frame = sys.getrecursionlimit() - 64, sys._getframe()
-    while frame:  # less the frames below the walk, this one included
-        room, frame = room - 1, frame.f_back
-    if m * n > min(sys.getrecursionlimit() // 2, room):
-        raise SearchSizeError(f"{m * n} letters at n={n}, m={m} are too many to walk")
     placed = [0] * m
     push, pop, ends = rule(placed)
     t = 0 if ends is None else _tail_length(n, m)
-    return _spell(_walk(({}, placed, n, push, pop, ends), m * n, t, ""))
+    return _spell(_walk(({}, placed, n, push, pop, ends), m * n, t, ""), n, m)
 
 
 def iter_words(n: int, m: int = 3, budget: int = DEFAULT_BUDGET) -> Iterator[str]:

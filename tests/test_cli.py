@@ -527,12 +527,19 @@ def test_huge_word_spaces_are_refused_in_one_line(argv, size):
 
 
 def test_walk_too_long_to_recurse_is_refused_in_one_line(run):
-    # 504 letters, past half the default recursion limit; a budget large
-    # enough to admit the word space leaves the walk-depth gate to refuse.
-    argv = ["realize", "--tournament", "1>2,1>3,1>4,2>3,2>4,3>4", "--sides", "126"]
-    code, out, err = run([*argv, "--budget", str(10 ** 3000)])
-    assert_usage_error(code, out, err)
-    assert err == "error: 504 letters at n=126, m=4 are too many to walk\n"
+    # 1200 letters overflow the default recursion limit; a budget large
+    # enough to admit the word space leaves the stack to refuse the walk.
+    budget = ["--budget", str(10 ** 3000)]
+    realize = ["realize", "--tournament", "1>2,1>3,1>4,2>3,2>4,3>4", *budget]
+    for argv, size in [
+        ([*realize, "--sides", "300"], "n=300, m=4"),
+        (["search", "--list", "--sides", "400", *budget], "n=400, m=3"),
+    ]:
+        code, out, err = run(argv)
+        assert_usage_error(code, out, err)
+        assert err == f"error: 1200 letters at {size} are too many to walk\n"
+    code, out, err = run([*realize, "--sides", "126"])
+    assert (code, err) == (0, "")
 
 
 def test_search_jobs_flag_changes_nothing(run):

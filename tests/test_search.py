@@ -515,10 +515,11 @@ def equal_face_sum_partitions(n: int) -> int:
         (4, 192),
         (5, 1830),
         (6, 25986),
+        (7, 379566),
         pytest.param(8, 6150678, marks=pytest.mark.slow),
         pytest.param(9, 104972070, marks=pytest.mark.slow),
     ],
-    ids=["1", "2", "3", "4", "5", "6", "8", "9"],
+    ids=["1", "2", "3", "4", "5", "6", "7", "8", "9"],
 )
 def test_census_balanced_matches_face_sum_partitions(n, balanced):
     census = enumerate_words(n, 3, budget=word_count(n, 3))
@@ -600,10 +601,6 @@ def test_census_n7_pinned():
         189783,
         189567,
     )
-
-
-def test_face_sum_partitions_n7():
-    assert equal_face_sum_partitions(7) == 379566
 
 
 @pytest.mark.slow
@@ -1181,18 +1178,20 @@ def test_search_realization_budget():
         search_realization(t, 0)
 
 
-def test_walk_depth_is_refused_past_half_the_recursion_limit(monkeypatch):
+def test_walk_is_refused_only_when_it_overflows_the_stack(monkeypatch):
     # The walk recurses once per letter. The transitive tournament's first
-    # word needs no backtracking, so the longest admitted walk answers.
+    # word needs no backtracking, so every walk that fits the stack answers,
+    # and one that overflows it stops after about a stack's worth of pushes.
+    assert sys.getrecursionlimit() == 1000
     t = Tournament.from_text("1>2,1>3,1>4,2>3,2>4,3>4")
-    n = sys.getrecursionlimit() // 2 // 4
+    for n in (125, 126):
+        found = search_realization(t, n, budget=10 ** 3000)
+        assert majority_digraph(found) == t.edges
     pushes = count_pushes(monkeypatch, "_edge_rule")
-    refusal = f"^{4 * n + 4} letters at n={n + 1}, m=4 are too many to walk$"
+    refusal = "^1200 letters at n=300, m=4 are too many to walk$"
     with pytest.raises(SearchSizeError, match=refusal):
-        search_realization(t, n + 1, budget=10 ** 3000)
-    assert pushes == [0]
-    found = search_realization(t, n, budget=10 ** 3000)
-    assert majority_digraph(found) == t.edges
+        search_realization(t, 300, budget=10 ** 3000)
+    assert pushes[0] < 4 * sys.getrecursionlimit()
 
 
 def stack_depth() -> int:
@@ -1217,6 +1216,41 @@ def test_walk_depth_counts_the_callers_frames():
         called_at_depth(510, lambda: search_realization(t, 125, budget=10 ** 3000))
     found = called_at_depth(510, lambda: search_realization(t, 100, budget=10 ** 3000))
     assert majority_digraph(found) == t.edges
+
+
+def test_listing_consumed_deeper_than_created_is_refused_in_one_line():
+    # The walk overflows the stack that consumes it, not the one that made it.
+    words = iter_words(125, 4, budget=10 ** 3000)
+    refusal = "^500 letters at n=125, m=4 are too many to walk$"
+    with pytest.raises(SearchSizeError, match=refusal):
+        called_at_depth(600, lambda: next(words))
+    assert next(words, None) is None
+
+
+def refusal_at_depth(depth: int, n: int, m: int) -> str:
+    """The message of ``iter_words(n, m)`` refused ``depth`` frames deep.
+    Only the text leaves: the exception's context holds the walk's dead
+    frames until it is dropped."""
+    try:
+        called_at_depth(depth, lambda: next(iter_words(n, m, budget=10 ** 3000)))
+    except SearchSizeError as exc:
+        return str(exc)
+    raise AssertionError(f"n={n}, m={m} walked {depth} frames deep")
+
+
+def test_refused_walk_frees_its_memo_without_gc():
+    gc.disable()
+    tracemalloc.start()
+    try:
+        sizes = []
+        for _ in range(3):
+            message = refusal_at_depth(500, 200, 3)
+            assert message == "600 letters at n=200, m=3 are too many to walk"
+            sizes.append(tracemalloc.get_traced_memory()[0])
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert abs(sizes[2] - sizes[0]) < 2 ** 19
 
 
 # -- value records -------------------------------------------------------------------------------
