@@ -80,6 +80,8 @@ MUTANTS = [
      "if left == t:", "if left == t + 1:"),
     ("walk-overflow-uncaught", "search.py",
      "except RecursionError:", "except LookupError:"),
+    ("option-reads-int", "cli.py",
+     '"--sides", type=integer', '"--sides", type=int'),
 ]
 
 

@@ -1,26 +1,28 @@
 #!/usr/bin/env python3
 """Time each ntdice CLI command as a fresh process, for one or two trees.
 
-Runs the command shapes of the benchmark's ``cli`` workload (verify on
-three n=3000 JSON files and on a word, gen, fib, search and realize), plus
-a bare ``import ntdice.cli``, each as a fresh ``python`` process with
+Runs the benchmark's own ``cli`` invocations at seed 1 (``prepare_cli`` of
+``perfbench/workloads.py``: verify on three n=3000 JSON files, then the
+fixed gen, fib, search and realize commands), plus a bare
+``import ntdice.cli``, each as a fresh ``python`` process with
 ``PYTHONPATH`` set to a given ``src`` root. With two roots, every command
 runs once per root in turn, in alternating order, so that drift in machine
-speed hits both alike. Every command must exit 0 or 1 and print the same
-stdout for every root and run. Prints the median and quartiles of the wall
-time per command and root, then of the per-run total over the workload's
-commands (the bare import excluded).
+speed hits both alike. Every run's exit code and stdout SHA-256 must equal
+the benchmark's expected pair, and the bare import must exit 0 and print
+nothing. Prints the median and quartiles of the wall time per command and
+root, then of the per-run total over the workload's commands (the bare
+import excluded).
+
+The benchmark pools every command into one ``op_ms``; this gives each
+command's time on each tree side by side.
 
     python scripts/startup_probe.py src
     python scripts/startup_probe.py --runs 21 ../old/src src
 """
 
 import argparse
-import ast
 import hashlib
-import json
 import os
-import random
 import statistics
 import subprocess
 import sys
@@ -29,64 +31,39 @@ import time
 from pathlib import Path
 
 IMPORT = ("import ntdice.cli",)
-WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def fixed_commands():
-    """The argv of each entry in the benchmark's ``CLI_FIXED`` list, parsed
-    from its source, not imported, so this script stays in step with it."""
-    tree = ast.parse(WORKLOADS.read_text(encoding="utf-8"))
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and any(
-            isinstance(target, ast.Name) and target.id == "CLI_FIXED"
-            for target in node.targets
-        ):
-            return [argv for argv, _, _ in ast.literal_eval(node.value)]
-    sys.exit(f"no CLI_FIXED assignment in {WORKLOADS}")
+def cli_invocations(root, workdir):
+    """The benchmark's ``cli`` invocations at seed 1, as (argv, exit code,
+    stdout SHA-256), with their verify inputs written to ``workdir``.
+    ``workloads.py`` imports ntdice, so ``root`` goes first on
+    ``sys.path``; nothing is written beside it."""
+    sys.dont_write_bytecode = True
+    sys.path[:0] = [root, str(PERFBENCH)]
+    import workloads
+
+    return workloads.prepare_cli(workloads.EXPECTED["cli"]["full"], 1, workdir)["invocations"]
 
 
-def command_of(shape):
-    if shape == IMPORT:
+def command_of(argv):
+    if argv == IMPORT:
         return [sys.executable, "-c", IMPORT[0]]
-    return [sys.executable, "-m", "ntdice", *shape]
+    return [sys.executable, "-m", "ntdice", *argv]
 
 
-def run(shape, root):
-    """Wall seconds of one fresh process, and its exit code and stdout."""
+def run(argv, expected, root):
+    """Wall seconds of one fresh process, which must exit and print as expected."""
     env = {**os.environ, "PYTHONPATH": root}
     start = time.perf_counter()
-    proc = subprocess.run(command_of(shape), capture_output=True, env=env, timeout=300)
+    proc = subprocess.run(command_of(argv), capture_output=True, env=env, timeout=300)
     wall = time.perf_counter() - start
-    if proc.returncode not in (0, 1):
-        sys.exit(f"{' '.join(shape)} under {root}: exit {proc.returncode}\n{proc.stderr.decode()}")
-    return wall, (proc.returncode, hashlib.sha256(proc.stdout).hexdigest())
-
-
-def verify_inputs(root, workdir, sides):
-    """The constructed 3- and 4-dice sets (as ``gen`` prints them) and a
-    seeded random partition of 1..3n, written as dice documents."""
-    paths = []
-    for m in (3, 4):
-        shape = ("gen", "--sides", str(sides), "--dice", str(m), "--format", "json")
-        proc = subprocess.run(
-            command_of(shape), capture_output=True, env={**os.environ, "PYTHONPATH": root},
-            check=True, timeout=300,
+    if (proc.returncode, hashlib.sha256(proc.stdout).hexdigest()) != expected:
+        sys.exit(
+            f"{' '.join(argv)}: exit {proc.returncode} or stdout differs from the "
+            f"benchmark's under {root}\n{proc.stderr.decode()}".rstrip()
         )
-        paths.append(os.path.join(workdir, f"gen-{m}.json"))
-        with open(paths[-1], "wb") as handle:
-            handle.write(proc.stdout)
-    labels = list(range(1, 3 * sides + 1))
-    random.Random(1).shuffle(labels)
-    doc = {
-        "schema": "dice-set/1",
-        "m": 3,
-        "n": sides,
-        "dice": {ch: labels[i * sides:(i + 1) * sides] for i, ch in enumerate("abc")},
-    }
-    paths.append(os.path.join(workdir, "random.json"))
-    with open(paths[-1], "w", encoding="utf-8") as handle:
-        json.dump(doc, handle)
-    return [("verify", path, "--format", "json") for path in paths]
+    return wall
 
 
 def summary(seconds):
@@ -109,34 +86,27 @@ def main() -> None:
             parser.error(f"{root} holds no ntdice package")
 
     with tempfile.TemporaryDirectory() as workdir:
-        shapes = [IMPORT, *verify_inputs(roots[0], workdir, 3000), *fixed_commands()]
-        walls = {(shape, root): [] for shape in shapes for root in roots}
-        totals = {root: [] for root in roots}
-        outputs = {}
+        bare = (IMPORT, 0, hashlib.sha256(b"").hexdigest())
+        plan = [bare, *cli_invocations(roots[0], workdir)]
+        walls = {(argv, root): [] for argv, _, _ in plan for root in roots}
         for index in range(args.runs):
             order = roots if index % 2 == 0 else roots[::-1]
-            for root in order:
-                totals[root].append(0.0)
-            for shape in shapes:
+            for argv, code, digest in plan:
                 for root in order:
-                    wall, output = run(shape, root)
-                    if outputs.setdefault(shape, output) != output:
-                        sys.exit(f"{' '.join(shape)}: exit code or stdout differs under {root}")
-                    walls[shape, root].append(wall)
-                    if shape != IMPORT:
-                        totals[root][-1] += wall
+                    walls[argv, root].append(run(argv, (code, digest), root))
 
     names = {root: f"root {i + 1}" for i, root in enumerate(roots)}
     for root in roots:
         print(f"{names[root]}: {root}")
     print(f"{args.runs} fresh processes per command and root; wall ms")
     print(f"{'command':<58} {'root':<7} {'median':>9} {'q1':>9} {'q3':>9}")
-    for shape in shapes:
-        label = " ".join(os.path.basename(part) for part in shape)
+    for argv, _, _ in plan:
+        label = " ".join(os.path.basename(part) for part in argv)
         for root in roots:
-            print(f"{label[:58]:<58} {names[root]:<7} {summary(walls[shape, root])}")
+            print(f"{label[:58]:<58} {names[root]:<7} {summary(walls[argv, root])}")
     for root in roots:
-        print(f"{'all workload commands, per run':<58} {names[root]:<7} {summary(totals[root])}")
+        totals = map(sum, zip(*(walls[argv, root] for argv, _, _ in plan[1:])))
+        print(f"{'all workload commands, per run':<58} {names[root]:<7} {summary(totals)}")
 
 
 if __name__ == "__main__":

@@ -27,10 +27,10 @@ from .core import (
     WinOdds,
     Word,
     _is_plain_int,
-    _parse_int,
     cycle_odds,
     dice_of_word,
     face_sums,
+    integer,
     validate_dice,
     verify,
     win_probability,
@@ -147,10 +147,10 @@ def _parse_rows(text: str) -> DiceSet:
                 raise InputError(f"line {lineno}: die {letter!r} given twice")
             labels = []
             for token in tail.split():
-                label = _parse_int(token)
-                if label is None:
+                try:
+                    labels.append(integer(token))
+                except ValueError:
                     raise InputError(f"line {lineno}: bad label {token!r} on die {letter!r}")
-                labels.append(label)
             rows[letter] = labels
     if not rows:
         raise InputError("no dice rows found")
@@ -359,8 +359,8 @@ def build_parser() -> argparse.ArgumentParser:
     # Each option shared by several commands, declared once as a parent.
     fmt, sides, budget = (argparse.ArgumentParser(add_help=False) for _ in range(3))
     fmt.add_argument("--format", choices=("text", "json"), default="text")
-    sides.add_argument("--sides", type=int, required=True)
-    budget.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    sides.add_argument("--sides", type=integer, required=True)
+    budget.add_argument("--budget", type=integer, default=DEFAULT_BUDGET)
 
     p_verify = sub.add_parser(
         "verify",
@@ -377,11 +377,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen = sub.add_parser(
         "gen", parents=[sides, fmt], help="construct a balanced non-transitive set"
     )
-    p_gen.add_argument("--dice", type=int, default=3)
+    p_gen.add_argument("--dice", type=integer, default=3)
     p_gen.set_defaults(func=cmd_gen)
 
     p_fib = sub.add_parser("fib", parents=[fmt], help="Fibonacci block constructions")
-    p_fib.add_argument("--k", type=int, required=True, help="Fibonacci index, f(1)=f(2)=1")
+    p_fib.add_argument("--k", type=integer, required=True, help="Fibonacci index, f(1)=f(2)=1")
     p_fib.add_argument(
         "--balanced", action="store_true", help="apply the balancing swap (odd k >= 5)"
     )
@@ -390,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_search = sub.add_parser(
         "search", parents=[sides, budget, fmt], help="exhaustive census or word listing"
     )
-    p_search.add_argument("--dice", type=int, default=3)
+    p_search.add_argument("--dice", type=integer, default=3)
     mode = p_search.add_mutually_exclusive_group()
     mode.add_argument("--count", action="store_true", help="print the census (default)")
     mode.add_argument("--list", action="store_true", help="stream words, one per line")
@@ -401,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_search.add_argument(
         "--jobs",
-        type=int,
+        type=integer,
         default=1,
         help="accepted for compatibility; ignored, results are identical",
     )

@@ -14,6 +14,7 @@ from .core import (
     Classification,
     DiceSet,
     Word,
+    _require_ints,
     dice_of_word,
     validate_dice,
     verify,
@@ -92,6 +93,7 @@ def concat_dice(first: DiceSet, second: DiceSet) -> DiceSet:
 
 def _check_labels(n: int, m: int) -> None:
     """Refuse m dice of n sides with TooManyLabels when m·n passes MAX_LABELS."""
+    _require_ints(ValueOutOfRange, n=n, m=m)
     if m * n > MAX_LABELS:
         raise TooManyLabels(
             f"n={n}, m={m} needs {m * n} labels, over the limit of {MAX_LABELS}"
@@ -120,6 +122,7 @@ def _fib_blocks(k: int) -> tuple[int, int, int]:
     Refuses with TooManyLabels as soon as 3·f(k) would pass MAX_LABELS, so
     a huge k costs a few dozen steps.
     """
+    _require_ints(ValueOutOfRange, k=k)
     a, b, c = 0, 1, 1
     for _ in range(k - 2):
         a, b, c = b, c, b + c

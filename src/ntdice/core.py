@@ -46,9 +46,9 @@ from .errors import (
 
 ALPHABET = "abcdefghijklmnopqrstuvwxyz"
 
-# An integer as typed in a dice row or a tournament edge: ASCII digits with
-# an optional sign. int() alone also takes underscores ('1_0') and
-# non-ASCII digits ('١').
+# An integer as typed in a dice row, a tournament edge or a CLI option:
+# ASCII digits with an optional sign. int() alone also takes underscores
+# ('1_0') and non-ASCII digits ('١').
 _INTEGER = re.compile(r"[+-]?[0-9]+")
 
 
@@ -56,24 +56,36 @@ def _is_plain_int(value: object) -> bool:
     """True when ``value`` is an int and no subclass of it.
 
     The one test behind every integer a caller hands in: die labels, win
-    counts, tournament vertices and their count, and a JSON document's
-    ``m`` and ``n``. Every int subclass is refused, ``bool`` and ``IntEnum``
-    members alike: JSON and the text grammars never produce one, and a
-    subclass may print as something other than its number.
+    counts, tournament vertices and their count, a JSON document's ``m``
+    and ``n``, and the sizes n, m and k of a search or a construction
+    (``_require_ints``). Every int subclass is refused, ``bool`` and
+    ``IntEnum`` members alike: JSON and the text grammars never produce
+    one, and a subclass may print as something other than its number.
     """
     return type(value) is int
 
 
-def _parse_int(token: str) -> int | None:
-    """The int an integer token spells, or None when it is not ASCII digits
-    with an optional sign or has more digits than ``int()`` reads (4,300 by
-    default)."""
+def _require_ints(error: type[Exception], **values: object) -> None:
+    """Raise ``error`` for the first of ``values`` that is not a plain int,
+    as ``n=3.5 is not an integer``."""
+    for name, value in values.items():
+        if not _is_plain_int(value):
+            raise error(f"{name}={value!r} is not an integer")
+
+
+def integer(token: str) -> int:
+    """The int an integer token spells: ASCII digits with an optional sign.
+
+    Raises ``ValueError``, as ``int()`` does, for any other text and for
+    more digits than ``int()`` reads (4,300 by default). The one reader of
+    integers typed as text, with three doors: the CLI options (argparse's
+    ``type=``, whose refusal names the reader, ``invalid integer value``),
+    a dice row's labels (``cli._parse_rows``) and a tournament's vertices
+    (``Tournament.from_text``).
+    """
     if not _INTEGER.fullmatch(token):
-        return None
-    try:
-        return int(token)
-    except ValueError:
-        return None
+        raise ValueError(f"invalid integer: {token!r}")
+    return int(token)
 
 
 class _Record:
@@ -148,6 +160,7 @@ class Word(_Record):
             m = len(set(text))
             if m == 0:
                 raise MalformedWord("cannot infer alphabet size from an empty word")
+        _require_ints(MalformedWord, m=m)
         if m < 2 or m > len(ALPHABET):
             raise MalformedWord(f"alphabet size {m} outside 2..{len(ALPHABET)}")
         allowed = ALPHABET[:m]

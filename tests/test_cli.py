@@ -542,6 +542,33 @@ def test_walk_too_long_to_recurse_is_refused_in_one_line(run):
     assert (code, err) == (0, "")
 
 
+@pytest.mark.parametrize(
+    "token", ["1_0", "\u0661", "\uff12"], ids=["underscore", "arabic-indic", "fullwidth"]
+)
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "--sides"],
+        ["gen", "--sides", "3", "--dice"],
+        ["fib", "--k"],
+        ["search", "--sides", "3", "--budget"],
+        ["search", "--sides", "3", "--jobs"],
+    ],
+    ids=["sides", "dice", "k", "budget", "jobs"],
+)
+def test_options_are_ascii_integers(run, argv, token):
+    # The grammar of a row label: int() alone would read each token.
+    code, out, err = run([*argv, token])
+    assert (code, out) == (2, "")
+    expected = f"ntdice {argv[0]}: error: argument {argv[-1]}: invalid integer value: {token!r}"
+    assert err.splitlines()[-1] == expected
+
+
+def test_options_take_a_signed_ascii_integer(run):
+    plus = run(["gen", "--sides", "+3"])
+    assert plus[0] == 0 and plus == run(["gen", "--sides", "3"])
+
+
 def test_search_jobs_flag_changes_nothing(run):
     _, serial, _ = run(["search", "--sides", "4", "--count", "--format", "json"])
     _, parallel, _ = run(["search", "--sides", "4", "--count", "--jobs", "2", "--format", "json"])

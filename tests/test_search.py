@@ -1,11 +1,13 @@
 """Enumeration, census, irreducibility, and tournament realization."""
 
+import collections
 import functools
 import gc
 import hashlib
 import itertools
 import math
 import random
+import re
 import sys
 import time
 import tracemalloc
@@ -22,6 +24,7 @@ from ntdice import (
     BASE_QUADS,
     BudgetExceeded,
     Census,
+    DiceError,
     NotBalancedNontransitive,
     SearchSizeError,
     SidesTooSmall,
@@ -957,6 +960,39 @@ def test_tournament_from_edges_rejects_non_integer_vertices(m, edges):
         Tournament.from_edges(m, edges)
 
 
+CYCLE_3 = Tournament.from_text("1>2,2>3,3>1")
+CYCLE_4 = Tournament.from_text("1>2,2>3,3>4,4>1,3>1,2>4")
+
+
+@pytest.mark.parametrize(
+    "call, value",
+    [
+        (lambda: construct.construct_balanced_nontransitive(3.5), "n=3.5"),
+        (lambda: construct.construct_balanced_nontransitive(6.0), "n=6.0"),
+        (lambda: realize_k3(CYCLE_3, 3.0), "n=3.0"),
+        (lambda: enumerate_words(2.5), "n=2.5"),
+        (lambda: enumerate_words(True, 3), "n=True"),
+        (lambda: iter_words(2.0), "n=2.0"),
+        (lambda: balanced_nontransitive_words(3, V.C), "m=<V.C: 2>"),
+        (lambda: search_realization(CYCLE_4, 3.0), "n=3.0"),
+        (lambda: search_realization(CYCLE_4, 2.0), "n=2.0"),
+        (lambda: construct.fibonacci_savage(7.0), "k=7.0"),
+        (lambda: construct.fibonacci_balanced(7.0), "k=7.0"),
+        (lambda: Word.from_string("abc", 3.0), "m=3.0"),
+    ],
+    ids=[
+        "construct-half", "construct-float", "realize-k3", "census", "census-bool",
+        "words", "bnt-intenum", "realization", "realization-few-sides", "fib-savage",
+        "fib-balanced", "word",
+    ],
+)
+def test_sizes_must_be_plain_ints(call, value):
+    # Without the gate these raised KeyError or TypeError, or, for True,
+    # returned a Census with n=True.
+    with pytest.raises(DiceError, match=f"^{re.escape(value)} is not an integer$"):
+        call()
+
+
 def test_majority_digraph_quad_examples():
     # 3-sided quad: full cycle plus both diagonals decided
     assert majority_digraph(BASE_QUADS[3]) == frozenset(
@@ -1201,9 +1237,12 @@ def stack_depth() -> int:
     return depth
 
 
-def called_at_depth(depth: int, call):
-    """``call()``, made with ``depth`` frames on the stack below it."""
-    return call() if stack_depth() >= depth else called_at_depth(depth, call)
+def called_at_depth(depth: int, call, frames: int | None = None):
+    """``call()``, made with ``depth`` frames on the stack below it. The
+    stack is measured once, so a call costs one frame per level."""
+    if frames is None:
+        frames = depth - stack_depth()
+    return call() if frames <= 0 else called_at_depth(depth, call, frames - 1)
 
 
 def test_walk_depth_counts_the_callers_frames():
@@ -1227,15 +1266,15 @@ def test_listing_consumed_deeper_than_created_is_refused_in_one_line():
     assert next(words, None) is None
 
 
-def refusal_at_depth(depth: int, n: int, m: int) -> str:
-    """The message of ``iter_words(n, m)`` refused ``depth`` frames deep.
-    Only the text leaves: the exception's context holds the walk's dead
-    frames until it is dropped."""
+def refusal_at_depth(depth: int, words) -> str:
+    """The message of the refusal of ``words``, consumed ``depth`` frames
+    deep, within 10^5 words. Only the text leaves: the exception's context
+    holds the walk's dead frames until it is dropped."""
     try:
-        called_at_depth(depth, lambda: next(iter_words(n, m, budget=10 ** 3000)))
+        called_at_depth(depth, lambda: collections.deque(itertools.islice(words, 10 ** 5), 0))
     except SearchSizeError as exc:
         return str(exc)
-    raise AssertionError(f"n={n}, m={m} walked {depth} frames deep")
+    raise AssertionError(f"10^5 words walked {depth} frames deep without a refusal")
 
 
 def test_refused_walk_frees_its_memo_without_gc():
@@ -1244,13 +1283,49 @@ def test_refused_walk_frees_its_memo_without_gc():
     try:
         sizes = []
         for _ in range(3):
-            message = refusal_at_depth(500, 200, 3)
+            message = refusal_at_depth(500, iter_words(200, 3, budget=10 ** 3000))
             assert message == "600 letters at n=200, m=3 are too many to walk"
             sizes.append(tracemalloc.get_traced_memory()[0])
     finally:
         tracemalloc.stop()
         gc.enable()
     assert abs(sizes[2] - sizes[0]) < 2 ** 19
+
+
+def test_refused_walk_frees_a_filled_memo_without_gc(monkeypatch):
+    # The first word, drawn at the test's own depth, fills the memo with its
+    # tail lists. The rest, consumed just deep enough, reuses them and then
+    # overflows inside a later build, seen as a _tail call shorter than the
+    # tail, so the refusal drops a filled memo and a list half built. The
+    # depth is searched for, down from one whose refusal comes first. The
+    # peak, mostly the walk's live frames, shows what had to be freed.
+    lefts = record_tail_lengths(monkeypatch)
+    t = _tail_length(60, 3)
+
+    def refused_in_a_build(depth: int) -> bool:
+        words = iter_words(60, 3, budget=10 ** 3000)
+        next(words)
+        lefts.clear()
+        message = refusal_at_depth(depth, words)
+        assert message == "180 letters at n=60, m=3 are too many to walk"
+        return min(lefts, default=t) < t
+
+    depth = sys.getrecursionlimit() - 100
+    assert not refused_in_a_build(depth)
+    while not refused_in_a_build(depth):
+        depth -= 1
+    gc.disable()
+    tracemalloc.start()
+    try:
+        for _ in range(3):
+            assert refused_in_a_build(depth)
+            # A refusal whose exception outlives it leaks about 90 KB a round.
+            assert tracemalloc.get_traced_memory()[0] < 2 ** 15
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert peak > 2 ** 17
 
 
 # -- value records -------------------------------------------------------------------------------

@@ -1,9 +1,14 @@
 """The traced benchmark wraps ntdice functions by name; those names must exist,
 and the walks it follows must be generators. The seeded mutants edit ntdice
-source by text; each text must still occur once."""
+source by text; each text must still occur once. The startup probe builds
+its commands with the benchmark's own ``cli`` plan, which must still load."""
 
 import ast
 import importlib
+import json
+import os
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -56,3 +61,25 @@ def test_every_mutant_anchor_occurs_once_in_its_file():
     for name, file, old, _ in mutants:
         text = (ROOT / "src" / "ntdice" / file).read_text(encoding="utf-8")
         assert text.count(old) == 1, f"{name}: {old!r} in {file}"
+
+
+def test_the_startup_probe_builds_the_benchmarks_cli_plan(tmp_path):
+    # In a child, so that this process's sys.path gains neither perfbench/
+    # nor scripts/; -B writes no bytecode beside them.
+    code = (
+        "import json, sys; sys.path.insert(0, sys.argv[1]); import startup_probe; "
+        "plan = startup_probe.cli_invocations(sys.argv[2], sys.argv[3]); "
+        "print(json.dumps([argv for argv, _, _ in plan]))"
+    )
+    args = [str(ROOT / "scripts"), str(ROOT / "src"), str(tmp_path)]
+    proc = subprocess.run(
+        [sys.executable, "-B", "-c", code, *args], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    argvs = [tuple(argv) for argv in json.loads(proc.stdout)]
+    fixed = assigned(ROOT / "perfbench" / "workloads.py", "CLI_FIXED")
+    assert len(argvs) == 11
+    assert argvs[3:] == [argv for argv, _, _ in fixed]
+    for command, path, *rest in argvs[:3]:
+        assert (command, rest) == ("verify", ["--format", "json"])
+        assert os.path.isfile(path) and Path(path).parent == tmp_path
