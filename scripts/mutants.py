@@ -64,6 +64,11 @@ MUTANTS = [
     ("clamp-cap-plus-1", "search.py",
      "cap = need + (n - ends[a]) * (n - ends[b])",
      "cap = need + 1 + (n - ends[a]) * (n - ends[b])"),
+    ("reclamp-cap-plus-1", "search.py",
+     "ends[p + 1] = need + (n - state[p]) * (n - count - 1)",
+     "ends[p + 1] = need + 1 + (n - state[p]) * (n - count - 1)"),
+    ("carry-parent-low", "search.py",
+     "following[key] = [mass, top, bottom]", "following[key] = [mass, top, low]"),
     ("rotation-skip-lt", "search.py",
      "if pairs[k] <= key[0]:", "if pairs[k] < key[0]:"),
     ("tail-base-empty", "search.py",

@@ -61,6 +61,7 @@ BASE_QUADS: dict[int, DiceSet] = {
 
 def base_example(n: int, m: int = 3) -> DiceSet:
     """The catalog entry with n sides and m dice (n in 3..5, m in {3, 4})."""
+    _require_ints(ValueOutOfRange, n=n, m=m)
     catalog = {3: BASE_TRIPLES, 4: BASE_QUADS}.get(m)
     if catalog is None:
         raise ValueOutOfRange(f"no base catalog for {m} dice")

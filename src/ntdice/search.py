@@ -181,6 +181,7 @@ class Tournament(_Record):
 
 def word_count(n: int, m: int) -> int:
     """Number of distinct words: (m*n)! / (n!)^m."""
+    _require_ints(SearchSizeError, n=n, m=m)
     return math.factorial(m * n) // math.factorial(n) ** m
 
 
@@ -365,9 +366,9 @@ def iter_words(n: int, m: int = 3, budget: int = DEFAULT_BUDGET) -> Iterator[str
     return _backtrack(n, m, budget, lambda placed: no_rule)
 
 
-def _census_layers(n: int, m: int) -> Iterator[dict[tuple[int, ...], int]]:
+def _census_layers(n: int, m: int) -> Iterator[dict[tuple[int, ...], list[int]]]:
     """The census DP's layers as built, one per letter, each a dict from
-    state to mass; ``enumerate_words`` tallies the last one.
+    state to ``[mass, high, low]``; ``enumerate_words`` tallies the last one.
 
     A layered transfer-matrix DP over states (placed[x], hi[x]) per die x,
     kept as the flat pairs placed[0], hi[0], ..., placed[m-1], hi[m-1],
@@ -381,11 +382,20 @@ def _census_layers(n: int, m: int) -> Iterator[dict[tuple[int, ...], int]]:
     intervals show it can end neither balanced at such a W nor
     non-transitive (they cannot meet at or above half, and some upper end
     is short of need = n²//2 + 1), which is why the total comes from the
-    closed form. Each stored state's extremes are read once, the least
-    upper end and the greatest lower end, each die's lower end derived from
-    its hi, and the greatest lower end starts at half; a successor differs
-    from them only in the two ends its letter moves (module docstring), so
-    each successor is tested from those two, marked or not. In the
+    closed form. Each state carries its extremes with its mass: ``high``,
+    the least upper end, and ``low``, the greatest lower end (each die's
+    lower end derived from its hi) floored at half. A letter of x moves
+    only x's hi, down, and pred x's lower end, up (module docstring), so
+    the successor's extremes are the parent's with those two ends folded
+    in, ``top`` and ``bottom``: the step tests the successor from them and
+    stores them with it when its key is first reached, and a later prefix
+    reaching that key adds only its mass. For an unmarked state both are
+    exact: its parent was unmarked too, so no end on its way was clamped,
+    and the start state's are n² and half. A marked state's ``low`` is
+    never read, since its mark stays 0 whatever it is, and its ``high`` is
+    read only against need; every cap below is at least need, so clamping
+    an end never changes whether it is below need, and ``high`` answers
+    that question for the clamped state as for the unclamped one. In the
     last layer every die has placed n letters, so hi is the cycle-win
     vector, and an unmarked state's ends all equal one W >= half: it is
     balanced with no test, balanced non-transitive when 2W > n² and fair
@@ -404,9 +414,13 @@ def _census_layers(n: int, m: int) -> Iterator[dict[tuple[int, ...], int]]:
     the least upper end whose lower end is need: hi[x] exceeds the cap
     exactly when x's lower end exceeds need. The clamped end's lower end,
     need, never falls afterwards, so the final test gives the same answer,
-    and states that differ only in such ends merge. Every marked successor
-    is clamped on every die, whether this step marked it or an earlier
-    one. A marked state keeps ``thr`` = 0, so its successors stay marked;
+    and states that differ only in such ends merge. A successor that this
+    step marks is clamped on every die. In a marked parent every end is
+    already within its cap, and a letter of x lowers x's end and x's cap by
+    the same n - placed[succ x]. The only other cap that moves is pred x's,
+    which falls by as much as pred x's lower end rises, so only that end
+    is re-clamped, when that lower end passes need: O(1), not m clamps.
+    A marked state keeps ``thr`` = 0, so its successors stay marked;
     it is dropped as soon as some upper end falls below need, skips the
     cut rule, and is tallied as non-transitive only: its clamped ends may
     look equal, so it is never tested for balance.
@@ -441,26 +455,17 @@ def _census_layers(n: int, m: int) -> Iterator[dict[tuple[int, ...], int]]:
     # Each die's pair index, its successor's and its predecessor's.
     dice = [(2 * x, 2 * ((x + 1) % m), 2 * ((x - 1) % m)) for x in range(m)]
     turns = range(2, width, 2)
-    layer = {(0, nsq) * m + (nsq + 1,): 1}
+    layer = {(0, nsq) * m + (nsq + 1,): [1, nsq, half]}
     for depth in range(m * n):
         j = depth // m
         cut = j and depth == m * j
-        following: dict[tuple[int, ...], int] = {}
-        for state, mass in layer.items():
+        following: dict[tuple[int, ...], list[int]] = {}
+        for state, (mass, high, low) in layer.items():
             thr = state[width]
             if thr and cut:
                 wins = state[1] - (n - j) * n
                 if 2 * wins > j * j and state[:width] == (j, state[1]) * m:
                     thr = min(thr, _cut_threshold(j, n, wins))
-            low = half  # the greatest lower end, and at least ⌈n²/2⌉
-            high = nsq  # the least upper end
-            for at, s, _ in dice:
-                end = state[at + 1]
-                if end < high:
-                    high = end
-                end -= (n - state[at]) * (n - state[s])
-                if end > low:
-                    low = end
             for at, s, p in dice:
                 count = state[at]
                 if count == n:
@@ -476,13 +481,17 @@ def _census_layers(n: int, m: int) -> Iterator[dict[tuple[int, ...], int]]:
                 if not mark and top < need:
                     continue
                 pairs = state[:at] + (count + 1, hi) + state[at + 2:width]
-                if not mark:
-                    # Marked, now or before: clamp every die's upper end.
+                if not mark and (thr or lo > need):
                     ends = list(pairs)
-                    for a, b, _ in dice:
-                        cap = need + (n - ends[a]) * (n - ends[b])
-                        if ends[a + 1] > cap:
-                            ends[a + 1] = cap
+                    if thr:
+                        # Marked by this step: clamp every die's upper end.
+                        for a, b, _ in dice:
+                            cap = need + (n - ends[a]) * (n - ends[b])
+                            if ends[a + 1] > cap:
+                                ends[a + 1] = cap
+                    else:
+                        # Marked before: only pred x's cap fell below its end.
+                        ends[p + 1] = need + (n - state[p]) * (n - count - 1)
                     pairs = tuple(ends)
                 key = pairs
                 for k in turns:
@@ -491,7 +500,11 @@ def _census_layers(n: int, m: int) -> Iterator[dict[tuple[int, ...], int]]:
                         if turned < key:
                             key = turned
                 key += (mark,)
-                following[key] = following.get(key, 0) + mass
+                entry = following.get(key)
+                if entry is None:
+                    following[key] = [mass, top, bottom]
+                else:
+                    entry[0] += mass
         layer = following
         yield layer
 
@@ -512,7 +525,7 @@ def enumerate_words(
     for layer in _census_layers(n, m):  # to the last, one layer alive at a time
         pass
     fair = nontransitive = bnt = irreducible = 0
-    for state, mass in layer.items():
+    for state, (mass, _, _) in layer.items():
         thr = state[-1]
         if not thr:
             # Marked: non-transitive only, never tested for balance.

@@ -532,12 +532,41 @@ def test_census_balanced_matches_face_sum_partitions(n, balanced):
         assert census.balanced == 2 * census.balanced_nontransitive
 
 
-@pytest.mark.parametrize("n,m,states", [(8, 3, 28488), (5, 4, 7223), (4, 5, 9756)])
+@pytest.mark.parametrize(
+    "n,m,states", [(8, 3, 28488), (5, 4, 7223), (4, 5, 9756), (5, 3, 591), (3, 4, 89)]
+)
 def test_census_dp_states_are_pinned(n, m, states):
     # Every layer's states, start layer excluded. Fewer merges keep every
     # count and show only here; a change that merges more or fewer states
-    # updates the pin on purpose.
+    # updates the pin on purpose. (5, 3) and (3, 4) are the benchmark's
+    # census sizes, so their work is a count that no machine changes.
     assert sum(len(layer) for layer in _census_layers(n, m)) == states
+
+
+@pytest.mark.parametrize("n,m", [(4, 2), (5, 3), (3, 4), (4, 4), (3, 5)])
+def test_census_dp_carries_each_states_extremes(n, m):
+    # An unmarked state carries its least upper end and its greatest lower
+    # end, floored at half, exactly. A marked one keeps every end within its
+    # cap, and its carried upper end answers the one question it is asked,
+    # whether some end has fallen below need.
+    need, half = n * n // 2 + 1, (n * n + 1) // 2
+    marked = 0
+    for layer in _census_layers(n, m):
+        for state, (mass, high, low) in layer.items():
+            placed, ends = state[0:2 * m:2], state[1:2 * m:2]
+            succ = placed[1:] + placed[:1]
+            lows = [e - (n - a) * (n - b) for e, a, b in zip(ends, placed, succ)]
+            assert mass > 0
+            if state[-1]:
+                assert (high, low) == (min(ends), max(half, *lows))
+            else:
+                marked += 1
+                caps = [need + (n - a) * (n - b) for a, b in zip(placed, succ)]
+                assert all(e <= cap for e, cap in zip(ends, caps))
+                assert min(ends) >= need and high >= need
+    # At m = 2 each die's upper end is n² less the other's lower end, so no
+    # state is both marked and kept; every other size here keeps some.
+    assert bool(marked) == (m > 2)
 
 
 def test_bnt_walk_pushes_are_pinned(monkeypatch):
@@ -979,11 +1008,16 @@ CYCLE_4 = Tournament.from_text("1>2,2>3,3>4,4>1,3>1,2>4")
         (lambda: construct.fibonacci_savage(7.0), "k=7.0"),
         (lambda: construct.fibonacci_balanced(7.0), "k=7.0"),
         (lambda: Word.from_string("abc", 3.0), "m=3.0"),
+        (lambda: construct.base_example(3.0), "n=3.0"),
+        (lambda: construct.base_example(3, 3.0), "m=3.0"),
+        (lambda: word_count(2.5, 3), "n=2.5"),
+        (lambda: word_count(True, 3), "n=True"),
     ],
     ids=[
         "construct-half", "construct-float", "realize-k3", "census", "census-bool",
         "words", "bnt-intenum", "realization", "realization-few-sides", "fib-savage",
-        "fib-balanced", "word",
+        "fib-balanced", "word", "base-example", "base-example-dice", "word-count",
+        "word-count-bool",
     ],
 )
 def test_sizes_must_be_plain_ints(call, value):
@@ -1237,6 +1271,21 @@ def stack_depth() -> int:
     return depth
 
 
+def recursion_depth() -> int:
+    """The caller's depth as the interpreter counts it, which, unlike
+    ``stack_depth``, includes C-level calls such as pytest's hook objects:
+    the least recursion limit accepted here, less two."""
+    limit, least = sys.getrecursionlimit(), stack_depth()
+    while True:
+        try:
+            sys.setrecursionlimit(least)
+            break
+        except RecursionError:
+            least += 1
+    sys.setrecursionlimit(limit)
+    return least - 2
+
+
 def called_at_depth(depth: int, call, frames: int | None = None):
     """``call()``, made with ``depth`` frames on the stack below it. The
     stack is measured once, so a call costs one frame per level."""
@@ -1326,6 +1375,34 @@ def test_refused_walk_frees_a_filled_memo_without_gc(monkeypatch):
         tracemalloc.stop()
         gc.enable()
     assert peak > 2 ** 17
+
+
+def test_refused_walk_frees_a_memo_of_large_lists_without_gc():
+    # 2,000 words into iter_words(4, 3) the memo holds tail lists of up to
+    # 560 suffixes. The rest is drawn with three frames of stack to spare,
+    # so the first resume that needs a new list overflows, and its refusal
+    # must drop those lists with the walk.
+    limit = sys.getrecursionlimit()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        for _ in range(3):
+            words = iter_words(4, 3)
+            collections.deque(itertools.islice(words, 2000), 0)
+            filled = tracemalloc.get_traced_memory()[0]
+            sys.setrecursionlimit(recursion_depth() + 3)
+            try:
+                collections.deque(words, 0)
+            except SearchSizeError as exc:
+                message = str(exc)
+            finally:
+                sys.setrecursionlimit(limit)
+            assert message == "12 letters at n=4, m=3 are too many to walk"
+            assert filled > 2 ** 17
+            assert tracemalloc.get_traced_memory()[0] < 2 ** 15
+    finally:
+        tracemalloc.stop()
+        gc.enable()
 
 
 # -- value records -------------------------------------------------------------------------------
