@@ -59,18 +59,22 @@ MUTANTS = [
     ("tail-length-plus-1", "search.py",
      "return min(t, m * n - 1)", "return min(t + 1, m * n - 1)"),
     ("clamp-cap-minus-1", "search.py",
-     "cap = need + (n - ends[a]) * (n - ends[b])",
-     "cap = need - 1 + (n - ends[a]) * (n - ends[b])"),
+     "cap = need + (n - clamped[a]) * (n - clamped[b])",
+     "cap = need - 1 + (n - clamped[a]) * (n - clamped[b])"),
     ("clamp-cap-plus-1", "search.py",
-     "cap = need + (n - ends[a]) * (n - ends[b])",
-     "cap = need + 1 + (n - ends[a]) * (n - ends[b])"),
+     "cap = need + (n - clamped[a]) * (n - clamped[b])",
+     "cap = need + 1 + (n - clamped[a]) * (n - clamped[b])"),
     ("reclamp-cap-plus-1", "search.py",
-     "ends[p + 1] = need + (n - state[p]) * (n - count - 1)",
-     "ends[p + 1] = need + 1 + (n - state[p]) * (n - count - 1)"),
+     "clamped[pu] = need + (n - state[p]) * (n - count - 1)",
+     "clamped[pu] = need + 1 + (n - state[p]) * (n - count - 1)"),
+    ("clamp-edits-shared-list", "search.py",
+     "clamped = ends[:]", "clamped = ends"),
+    ("successor-not-restored", "search.py",
+     "ends[up] = state[up]", "ends[up] = hi"),
     ("carry-parent-low", "search.py",
      "following[key] = [mass, top, bottom]", "following[key] = [mass, top, low]"),
     ("rotation-skip-lt", "search.py",
-     "if pairs[k] <= key[0]:", "if pairs[k] < key[0]:"),
+     "if src[k] <= key[0]:", "if src[k] < key[0]:"),
     ("tail-base-empty", "search.py",
      'return [""]', "return []"),
     ("few-sides-check-at-3", "search.py",

@@ -69,6 +69,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable, Iterator
+from operator import itemgetter
 
 from .construct import _check_labels, construct_balanced_nontransitive
 from .core import (
@@ -447,60 +448,86 @@ def _census_layers(n: int, m: int) -> Iterator[dict[tuple[int, ...], list[int]]]
     divided by an orbit's size, so orbits shorter than m (the start state,
     balanced cuts, periodic states when m is composite) need no special
     case.
+
+    A successor is built in one list per stored state, ``ends``, a copy of
+    the state with its ``thr`` slot. For a letter of x the step writes x's
+    new count, its upper end ``hi`` and the mark into it, takes the tuple,
+    and restores x's two entries before the next die; every successor
+    writes its own mark. A successor that is clamped is clamped on a copy
+    of the list: the clamp lowers ends that no letter of x moves, and left
+    in ``ends`` they would pass into the successors by later dice. Each
+    rotation by k pairs is one ``itemgetter`` gather, built once per call,
+    that rotates the pairs and keeps the mark last, so a key is its least
+    rotation followed by the mark and keys order exactly as the pairs with
+    the mark appended did.
     """
     nsq = n * n
     need = nsq // 2 + 1
     half = (nsq + 1) // 2
     width = 2 * m
-    # Each die's pair index, its successor's and its predecessor's.
-    dice = [(2 * x, 2 * ((x + 1) % m), 2 * ((x - 1) % m)) for x in range(m)]
-    turns = range(2, width, 2)
+    # Each die's count and upper-end indices, its successor's count index,
+    # and its predecessor's count and upper-end indices.
+    dice = [
+        (2 * x, 2 * x + 1, 2 * ((x + 1) % m), 2 * ((x - 1) % m), 2 * ((x - 1) % m) + 1)
+        for x in range(m)
+    ]
+    # Each rotation by k pairs, as one gather that keeps the mark last.
+    turns = [
+        (k, itemgetter(*range(k, width), *range(k), width)) for k in range(2, width, 2)
+    ]
     layer = {(0, nsq) * m + (nsq + 1,): [1, nsq, half]}
     for depth in range(m * n):
         j = depth // m
         cut = j and depth == m * j
         following: dict[tuple[int, ...], list[int]] = {}
+        stored = following.get
         for state, (mass, high, low) in layer.items():
             thr = state[width]
             if thr and cut:
                 wins = state[1] - (n - j) * n
                 if 2 * wins > j * j and state[:width] == (j, state[1]) * m:
                     thr = min(thr, _cut_threshold(j, n, wins))
-            for at, s, p in dice:
+            ends = list(state)
+            for at, up, s, p, pu in dice:
                 count = state[at]
                 if count == n:
                     continue
                 # The two ends a letter of this die moves, ``hi`` and its
                 # predecessor's ``lo``, give the successor's extremes.
-                hi = state[at + 1] - n + state[s]
+                hi = state[up] - n + state[s]
                 top = hi if hi < high else high
-                lo = state[p + 1] - (n - state[p]) * (n - count - 1)
+                lo = state[pu] - (n - state[p]) * (n - count - 1)
                 bottom = lo if lo > low else low
                 # 0 once it can no longer end balanced at W >= half.
                 mark = thr if bottom <= top else 0
                 if not mark and top < need:
                     continue
-                pairs = state[:at] + (count + 1, hi) + state[at + 2:width]
+                ends[at] = count + 1
+                ends[up] = hi
+                ends[width] = mark
                 if not mark and (thr or lo > need):
-                    ends = list(pairs)
+                    clamped = ends[:]
                     if thr:
                         # Marked by this step: clamp every die's upper end.
-                        for a, b, _ in dice:
-                            cap = need + (n - ends[a]) * (n - ends[b])
-                            if ends[a + 1] > cap:
-                                ends[a + 1] = cap
+                        for a, u, b, _, _ in dice:
+                            cap = need + (n - clamped[a]) * (n - clamped[b])
+                            if clamped[u] > cap:
+                                clamped[u] = cap
                     else:
                         # Marked before: only pred x's cap fell below its end.
-                        ends[p + 1] = need + (n - state[p]) * (n - count - 1)
-                    pairs = tuple(ends)
-                key = pairs
-                for k in turns:
-                    if pairs[k] <= key[0]:  # else this rotation sorts later
-                        turned = pairs[k:] + pairs[:k]
+                        clamped[pu] = need + (n - state[p]) * (n - count - 1)
+                    src = tuple(clamped)
+                else:
+                    src = tuple(ends)
+                ends[at] = count
+                ends[up] = state[up]
+                key = src
+                for k, turn in turns:
+                    if src[k] <= key[0]:  # else this rotation sorts later
+                        turned = turn(src)
                         if turned < key:
                             key = turned
-                key += (mark,)
-                entry = following.get(key)
+                entry = stored(key)
                 if entry is None:
                     following[key] = [mass, top, bottom]
                 else:

@@ -548,7 +548,8 @@ def test_census_dp_carries_each_states_extremes(n, m):
     # An unmarked state carries its least upper end and its greatest lower
     # end, floored at half, exactly. A marked one keeps every end within its
     # cap, and its carried upper end answers the one question it is asked,
-    # whether some end has fallen below need.
+    # whether some end has fallen below need. Every key holds its 2m pair
+    # entries and the mark, and its pairs are the least of their m rotations.
     need, half = n * n // 2 + 1, (n * n + 1) // 2
     marked = 0
     for layer in _census_layers(n, m):
@@ -557,6 +558,10 @@ def test_census_dp_carries_each_states_extremes(n, m):
             succ = placed[1:] + placed[:1]
             lows = [e - (n - a) * (n - b) for e, a, b in zip(ends, placed, succ)]
             assert mass > 0
+            pairs = state[:2 * m]
+            assert len(state) == 2 * m + 1 and pairs == min(
+                pairs[k:] + pairs[:k] for k in range(0, 2 * m, 2)
+            )
             if state[-1]:
                 assert (high, low) == (min(ends), max(half, *lows))
             else:
@@ -1287,16 +1292,17 @@ def recursion_depth() -> int:
 
 
 def called_at_depth(depth: int, call, frames: int | None = None):
-    """``call()``, made with ``depth`` frames on the stack below it. The
-    stack is measured once, so a call costs one frame per level."""
+    """``call()``, run at recursion depth ``depth`` as the interpreter
+    counts it (``recursion_depth``). The stack is measured once, so a call
+    costs one frame per level."""
     if frames is None:
-        frames = depth - stack_depth()
+        frames = depth - recursion_depth() - 1
     return call() if frames <= 0 else called_at_depth(depth, call, frames - 1)
 
 
 def test_walk_depth_counts_the_callers_frames():
-    # 510 frames deep, 500 letters would overflow the recursion limit; the
-    # gate refuses them in one line, and 400 letters still fit.
+    # At recursion depth 510, 500 letters would overflow the recursion
+    # limit; the gate refuses them in one line, and 400 letters still fit.
     assert sys.getrecursionlimit() == 1000
     t = Tournament.from_text("1>2,1>3,1>4,2>3,2>4,3>4")
     refusal = "^500 letters at n=125, m=4 are too many to walk$"
@@ -1316,14 +1322,14 @@ def test_listing_consumed_deeper_than_created_is_refused_in_one_line():
 
 
 def refusal_at_depth(depth: int, words) -> str:
-    """The message of the refusal of ``words``, consumed ``depth`` frames
-    deep, within 10^5 words. Only the text leaves: the exception's context
-    holds the walk's dead frames until it is dropped."""
+    """The message of the refusal of ``words``, consumed at recursion depth
+    ``depth``, within 10^5 words. Only the text leaves: the exception's
+    context holds the walk's dead frames until it is dropped."""
     try:
         called_at_depth(depth, lambda: collections.deque(itertools.islice(words, 10 ** 5), 0))
     except SearchSizeError as exc:
         return str(exc)
-    raise AssertionError(f"10^5 words walked {depth} frames deep without a refusal")
+    raise AssertionError(f"10^5 words walked at depth {depth} without a refusal")
 
 
 def test_refused_walk_frees_its_memo_without_gc():
