@@ -85,10 +85,14 @@ MUTANTS = [
      "return type(value) is int", "return isinstance(value, int)"),
     ("int-token-skips-ascii-match", "core.py",
      "if not _INTEGER.fullmatch(token):", "if False:"),
-    ("walk-tail-one-letter-late", "search.py",
-     "if left == t:", "if left == t + 1:"),
-    ("walk-overflow-uncaught", "search.py",
-     "except RecursionError:", "except LookupError:"),
+    ("walk-words-one-letter-long", "search.py",
+     "if len(path) < inner:", "if len(path) <= inner:"),
+    ("walk-words-one-letter-short", "search.py",
+     "inner = left - t - 1", "inner = left - t - 2"),
+    ("walk-backtrack-skips-pop", "search.py",
+     "placed[x] -= 1\n            pop(x)", "placed[x] -= 1"),
+    ("walk-backtrack-keeps-count", "search.py",
+     "placed[x] -= 1", "placed[x] -= 0"),
     ("option-reads-int", "cli.py",
      '"--sides", type=integer', '"--sides", type=int'),
 ]

@@ -108,6 +108,7 @@ def construct_balanced_nontransitive(n: int, m: int = 3) -> DiceSet:
     (n - base) / 3 times, as one concatenation with that many copies of it
     in a row, so the cost stays linear in n.
     """
+    _require_ints(ValueOutOfRange, n=n, m=m)
     if n < 3:
         raise SidesTooSmall(f"need at least 3 sides, got {n}")
     _check_labels(n, m)
@@ -123,7 +124,6 @@ def _fib_blocks(k: int) -> tuple[int, int, int]:
     Refuses with TooManyLabels as soon as 3·f(k) would pass MAX_LABELS, so
     a huge k costs a few dozen steps.
     """
-    _require_ints(ValueOutOfRange, k=k)
     a, b, c = 0, 1, 1
     for _ in range(k - 2):
         a, b, c = b, c, b + c
@@ -143,6 +143,7 @@ def fibonacci_savage(k: int) -> DiceSet:
     out descending and the rows hold every label once, so they form a
     ``DiceSet`` as they stand, with no ``validate_dice`` pass.
     """
+    _require_ints(ValueOutOfRange, k=k)
     if k < 4:
         raise IndexTooSmall(f"need k >= 4 so every block is nonempty, got {k}")
     f_k2, f_k1, f_k = _fib_blocks(k)
@@ -182,6 +183,7 @@ def fibonacci_balanced(k: int) -> DiceSet:
     sets have unequal face-sums, while k = 9 succeeds with the even value
     f(9) = 34. Every output is re-verified before being returned.
     """
+    _require_ints(ValueOutOfRange, k=k)
     if k < 5:
         raise IndexTooSmall(f"need k >= 5, got {k}")
     if k % 2 == 0:

@@ -57,10 +57,10 @@ keeps a state that no longer can, marked, for the non-transitive count
 alone (``_census_layers``).
 
 Listing words, the balanced non-transitive scan and realization search
-share one backtracker, ``_backtrack``: a recursion, one level per letter
-(``_walk``), that visits words in lexicographic order and owns the walk.
-Each caller brings only its rule, and the two listings share suffixes
-through a memoized tail built from one level of the same recursion.
+share one backtracker, ``_backtrack``: one loop (``_walk``) that visits
+words in lexicographic order and owns the walk. Each caller brings only
+its rule, and the two listings share suffixes through a memoized tail
+built by the same loop one letter at a time.
 Nothing runs in parallel, so results never depend on ``jobs``, which is
 accepted and ignored.
 """
@@ -196,7 +196,7 @@ def _check_budget(n: int, m: int, budget: int) -> int:
     every other case the exact count decides, and it names itself in the
     error when it has at most _EXACT_DIGITS digits.
     """
-    _require_ints(SearchSizeError, n=n, m=m)
+    _require_ints(SearchSizeError, n=n, m=m, budget=budget)
     if n < 1:
         raise SearchSizeError(f"need at least one side, got n={n}")
     if not 2 <= m <= len(ALPHABET):
@@ -262,13 +262,15 @@ def _tail_length(n: int, m: int) -> int:
 def _tail(walk: tuple, left: int) -> list[str]:
     """Every completion of the current prefix, ``left`` letters long, in
     lexicographic order, memoized per state ``placed`` + ``ends``
-    (``_backtrack``): one level of ``_walk``, each live letter followed by
-    each completion one letter shorter. A full word's one completion is the
+    (``_backtrack``): a ``_walk`` that places one letter and appends each
+    completion one letter shorter. A full word's one completion is the
     empty suffix, returned before ``ends`` is read, so a walk with no ends
     calls it too.
 
-    A plain recursive function, not a closure, so ``memo`` is freed by
-    reference counting as soon as the walk that owns it ends.
+    A plain function, not a closure, so ``memo`` is freed by reference
+    counting as soon as the walk that owns it ends. It recurses, through
+    ``_walk``, once per tail letter, so its depth is bounded by the tail's
+    length, not the word's.
     """
     if not left:
         return [""]
@@ -276,39 +278,54 @@ def _tail(walk: tuple, left: int) -> list[str]:
     state = tuple(placed) + tuple(ends)
     found = memo.get(state)
     if found is None:
-        below = _walk(walk, left, left - 1, "")
-        found = memo[state] = [head + suffix for head, tails in below for suffix in tails]
+        found = memo[state] = list(_walk(walk, left, left - 1))
     return found
 
 
-def _walk(walk: tuple, left: int, t: int, prefix: str) -> Iterator[tuple[str, list[str]]]:
-    """The walk below ``prefix``, ``left`` letters short of a word: one pair
-    (live prefix t letters short, ``_tail``'s list of its completions) per
-    such prefix, in lexicographic order (``_backtrack``). ``walk`` is the
-    run's constants, ``(memo, placed, n, push, pop, ends)``."""
-    if left == t:
-        yield prefix, _tail(walk, left)
-        return
+def _walk(walk: tuple, left: int, t: int) -> Iterator[str]:
+    """Every live completion of the current prefix, ``left`` letters long,
+    in lexicographic order (``_backtrack``), for t < left. ``walk`` is the
+    run's constants, ``(memo, placed, n, push, pop, ends)``.
+
+    One loop, depth first: ``path`` holds the letters placed below the
+    start, ``prefix`` spells them, and x is the next letter to try after
+    them. A live letter that leaves more than t letters to place goes onto
+    ``path``; one that leaves t is followed by each of ``_tail``'s
+    completions and undone. When every letter has been tried, the last
+    letter of ``path`` is undone and its next one tried, so the loop's
+    memory is linear in ``left``.
+    """
     _, placed, n, push, pop, _ = walk
-    for x, count in enumerate(placed):
-        if count == n:
-            continue
-        placed[x] = count + 1
-        if not push(x):
-            yield from _walk(walk, left - 1, t, prefix + ALPHABET[x])
-        placed[x] = count
-        pop(x)
-
-
-def _spell(pairs: Iterator[tuple[str, list[str]]], n: int, m: int) -> Iterator[str]:
-    """Each prefix followed by each of its completions, as words. A walk
-    too deep for the stack that runs it ends as one ``SearchSizeError``."""
-    try:
-        for prefix, suffixes in pairs:
-            for suffix in suffixes:
-                yield prefix + suffix
-    except RecursionError:
-        raise SearchSizeError(f"{m * n} letters at n={n}, m={m} are too many to walk") from None
+    m = len(placed)
+    inner = left - t - 1  # letters on ``path`` when the next one is the last
+    path: list[int] = []
+    prefix = ""
+    x = 0
+    while True:
+        if x < m:
+            count = placed[x]
+            if count < n:
+                placed[x] = count + 1
+                if not push(x):
+                    if len(path) < inner:
+                        path.append(x)
+                        prefix += ALPHABET[x]
+                        x = 0
+                        continue
+                    head = prefix + ALPHABET[x]
+                    for suffix in _tail(walk, t):
+                        yield head + suffix
+                placed[x] = count
+                pop(x)
+            x += 1
+        elif path:
+            x = path.pop()
+            placed[x] -= 1
+            pop(x)
+            prefix = prefix[:-1]
+            x += 1
+        else:
+            return
 
 
 def _backtrack(
@@ -318,9 +335,9 @@ def _backtrack(
 
     Not a generator itself: it refuses a size out of range or over
     ``budget`` (``_check_budget``) as soon as it is called, then returns
-    the walk. ``_walk`` recurses once per letter, so a walk too deep for
-    the stack that consumes it ends as a ``SearchSizeError`` from
-    ``_spell``, wherever it was created.
+    the walk, the ``_walk`` generator. The walk is a loop, not a
+    recursion, so it answers at any depth of the caller's stack and for
+    any word length the budget admits.
 
     The walk owns ``placed``, the prefix's count of each letter.
     ``rule(placed)`` is called once, after the check, so a caller builds
@@ -334,8 +351,7 @@ def _backtrack(
     node and drops a full word, so ``push`` is the one leaf rule.
 
     The walk stops t letters short of a word and yields each live prefix
-    with the list of its completions from ``_tail``, and ``_spell`` joins
-    them into words, so words pass up the recursion in batches. A caller
+    followed by each of its completions from ``_tail``. A caller
     whose ``push`` answers depend only on ``placed`` and on the list
     ``ends`` (``hi`` for the scan, an empty list for ``iter_words``)
     passes that list to memoize the tail: a prefix's completions then
@@ -358,7 +374,7 @@ def _backtrack(
     placed = [0] * m
     push, pop, ends = rule(placed)
     t = 0 if ends is None else _tail_length(n, m)
-    return _spell(_walk(({}, placed, n, push, pop, ends), m * n, t, ""), n, m)
+    return _walk(({}, placed, n, push, pop, ends), m * n, t)
 
 
 def iter_words(n: int, m: int = 3, budget: int = DEFAULT_BUDGET) -> Iterator[str]:
@@ -658,9 +674,9 @@ def realize_k3(tournament: Tournament, n: int) -> DiceSet:
     """
     if tournament.m != 3:
         raise ValueOutOfRange(f"closed form covers 3 vertices, got {tournament.m}")
+    _check_labels(n, 3)
     if n < 1:
         raise SidesTooSmall(f"need at least one side, got n={n}")
-    _check_labels(n, 3)
     degrees = tournament.out_degrees()
     if sorted(degrees) == [1, 1, 1]:
         if n < 3:
@@ -714,6 +730,7 @@ def search_realization(
     tournaments at those n, and every tournament at n >= 3, are walked.
     """
     m = tournament.m
+    _require_ints(SearchSizeError, n=n)
     if n <= 2 and sorted(tournament.out_degrees()) != list(range(m)):
         _check_budget(n, m, budget)
         return None

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ntdice import Tournament, majority_digraph
 from ntdice.cli import DICE_SCHEMA, dice_document, main, parse_dice_input
 
 CLASSIC_WORD = "acbbaccba"
@@ -526,20 +527,28 @@ def test_huge_word_spaces_are_refused_in_one_line(argv, size):
     assert proc.stderr == f"error: {size} exceed budget 100000000\n"
 
 
-def test_walk_too_long_to_recurse_is_refused_in_one_line(run):
-    # 1200 letters overflow the default recursion limit; a budget large
-    # enough to admit the word space leaves the stack to refuse the walk.
+def test_walks_longer_than_the_recursion_limit_answer(run):
+    # 1200 letters: the walk is a loop, so no word length is too long for
+    # the stack once the budget admits the word space.
+    spec = "1>2,1>3,1>4,2>3,2>4,3>4"
     budget = ["--budget", str(10 ** 3000)]
-    realize = ["realize", "--tournament", "1>2,1>3,1>4,2>3,2>4,3>4", *budget]
-    for argv, size in [
-        ([*realize, "--sides", "300"], "n=300, m=4"),
-        (["search", "--list", "--sides", "400", *budget], "n=400, m=3"),
-    ]:
-        code, out, err = run(argv)
-        assert_usage_error(code, out, err)
-        assert err == f"error: 1200 letters at {size} are too many to walk\n"
-    code, out, err = run([*realize, "--sides", "126"])
+    code, out, err = run(["realize", "--tournament", spec, "--sides", "300", *budget])
     assert (code, err) == (0, "")
+    assert majority_digraph(parse_dice_input(out)) == Tournament.from_text(spec).edges
+    # The listing never ends in any time a test has, so it runs in a child
+    # that meets a closed pipe after its first word.
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "ntdice", "search", "--list", "--sides", "400", *budget],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=ntdice_env(),
+    )
+    assert proc.stdout.readline() == b"a" * 400 + b"b" * 400 + b"c" * 400 + b"\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0
+    assert err == b""
 
 
 @pytest.mark.parametrize(

@@ -1017,17 +1017,30 @@ CYCLE_4 = Tournament.from_text("1>2,2>3,3>4,4>1,3>1,2>4")
         (lambda: construct.base_example(3, 3.0), "m=3.0"),
         (lambda: word_count(2.5, 3), "n=2.5"),
         (lambda: word_count(True, 3), "n=True"),
+        (lambda: construct.construct_balanced_nontransitive("3"), "n='3'"),
+        (lambda: construct.construct_balanced_nontransitive(None), "n=None"),
+        (lambda: construct.fibonacci_savage("5"), "k='5'"),
+        (lambda: construct.fibonacci_balanced("5"), "k='5'"),
+        (lambda: construct.fibonacci_boundary_swap("5"), "k='5'"),
+        (lambda: realize_k3(CYCLE_3, "3"), "n='3'"),
+        (lambda: search_realization(CYCLE_4, "3"), "n='3'"),
+        (lambda: search_realization(CYCLE_4, None), "n=None"),
+        (lambda: iter_words(3, 3, budget="x"), "budget='x'"),
+        (lambda: enumerate_words(3, 3, budget=None), "budget=None"),
     ],
     ids=[
         "construct-half", "construct-float", "realize-k3", "census", "census-bool",
         "words", "bnt-intenum", "realization", "realization-few-sides", "fib-savage",
         "fib-balanced", "word", "base-example", "base-example-dice", "word-count",
-        "word-count-bool",
+        "word-count-bool", "construct-str", "construct-none", "fib-savage-str",
+        "fib-balanced-str", "fib-swap-str", "realize-k3-str", "realization-str",
+        "realization-none", "words-budget-str", "census-budget-none",
     ],
 )
 def test_sizes_must_be_plain_ints(call, value):
     # Without the gate these raised KeyError or TypeError, or, for True,
-    # returned a Census with n=True.
+    # returned a Census with n=True; a string or None met a comparison
+    # before the gate and raised a bare TypeError.
     with pytest.raises(DiceError, match=f"^{re.escape(value)} is not an integer$"):
         call()
 
@@ -1253,157 +1266,57 @@ def test_search_realization_budget():
         search_realization(t, 0)
 
 
-def test_walk_is_refused_only_when_it_overflows_the_stack(monkeypatch):
-    # The walk recurses once per letter. The transitive tournament's first
-    # word needs no backtracking, so every walk that fits the stack answers,
-    # and one that overflows it stops after about a stack's worth of pushes.
+TRANSITIVE_4 = Tournament.from_text("1>2,1>3,1>4,2>3,2>4,3>4")
+
+
+def test_walks_longer_than_the_recursion_limit_answer():
+    # The walk is a loop, so a word of 1,200 or 12,000 letters needs no
+    # stack of its own; only the budget bounds the word length.
+    for n in (300, 3000):
+        found = search_realization(TRANSITIVE_4, n, budget=10 ** 30000)
+        assert majority_digraph(found) == TRANSITIVE_4.edges
+    first = next(iter_words(400, 3, budget=10 ** 3000))
+    assert first == "a" * 400 + "b" * 400 + "c" * 400
+
+
+def called_deep(frames: int, call):
+    """``call()``, run ``frames`` frames below the caller."""
+    return call() if frames <= 0 else called_deep(frames - 1, call)
+
+
+def test_walks_answer_deep_in_the_callers_stack():
+    # About 900 frames deep, with pytest's own: a walk of 500 letters
+    # would not fit under the recursion limit of 1000 there, and a listing
+    # created shallow is consumed on the deep stack.
     assert sys.getrecursionlimit() == 1000
-    t = Tournament.from_text("1>2,1>3,1>4,2>3,2>4,3>4")
-    for n in (125, 126):
-        found = search_realization(t, n, budget=10 ** 3000)
-        assert majority_digraph(found) == t.edges
-    pushes = count_pushes(monkeypatch, "_edge_rule")
-    refusal = "^1200 letters at n=300, m=4 are too many to walk$"
-    with pytest.raises(SearchSizeError, match=refusal):
-        search_realization(t, 300, budget=10 ** 3000)
-    assert pushes[0] < 4 * sys.getrecursionlimit()
-
-
-def stack_depth() -> int:
-    frame, depth = sys._getframe(), 0
-    while frame:
-        frame, depth = frame.f_back, depth + 1
-    return depth
-
-
-def recursion_depth() -> int:
-    """The caller's depth as the interpreter counts it, which, unlike
-    ``stack_depth``, includes C-level calls such as pytest's hook objects:
-    the least recursion limit accepted here, less two."""
-    limit, least = sys.getrecursionlimit(), stack_depth()
-    while True:
-        try:
-            sys.setrecursionlimit(least)
-            break
-        except RecursionError:
-            least += 1
-    sys.setrecursionlimit(limit)
-    return least - 2
-
-
-def called_at_depth(depth: int, call, frames: int | None = None):
-    """``call()``, run at recursion depth ``depth`` as the interpreter
-    counts it (``recursion_depth``). The stack is measured once, so a call
-    costs one frame per level."""
-    if frames is None:
-        frames = depth - recursion_depth() - 1
-    return call() if frames <= 0 else called_at_depth(depth, call, frames - 1)
-
-
-def test_walk_depth_counts_the_callers_frames():
-    # At recursion depth 510, 500 letters would overflow the recursion
-    # limit; the gate refuses them in one line, and 400 letters still fit.
-    assert sys.getrecursionlimit() == 1000
-    t = Tournament.from_text("1>2,1>3,1>4,2>3,2>4,3>4")
-    refusal = "^500 letters at n=125, m=4 are too many to walk$"
-    with pytest.raises(SearchSizeError, match=refusal):
-        called_at_depth(510, lambda: search_realization(t, 125, budget=10 ** 3000))
-    found = called_at_depth(510, lambda: search_realization(t, 100, budget=10 ** 3000))
-    assert majority_digraph(found) == t.edges
-
-
-def test_listing_consumed_deeper_than_created_is_refused_in_one_line():
-    # The walk overflows the stack that consumes it, not the one that made it.
+    found = called_deep(850, lambda: search_realization(TRANSITIVE_4, 125, budget=10 ** 3000))
+    assert majority_digraph(found) == TRANSITIVE_4.edges
     words = iter_words(125, 4, budget=10 ** 3000)
-    refusal = "^500 letters at n=125, m=4 are too many to walk$"
-    with pytest.raises(SearchSizeError, match=refusal):
-        called_at_depth(600, lambda: next(words))
-    assert next(words, None) is None
+    assert called_deep(850, lambda: next(words)) == "".join(x * 125 for x in "abcd")
+    assert next(words) == "".join(x * 125 for x in "ab") + "c" * 124 + "dc" + "d" * 124
 
 
-def refusal_at_depth(depth: int, words) -> str:
-    """The message of the refusal of ``words``, consumed at recursion depth
-    ``depth``, within 10^5 words. Only the text leaves: the exception's
-    context holds the walk's dead frames until it is dropped."""
-    try:
-        called_at_depth(depth, lambda: collections.deque(itertools.islice(words, 10 ** 5), 0))
-    except SearchSizeError as exc:
-        return str(exc)
-    raise AssertionError(f"10^5 words walked at depth {depth} without a refusal")
-
-
-def test_refused_walk_frees_its_memo_without_gc():
-    gc.disable()
-    tracemalloc.start()
-    try:
-        sizes = []
-        for _ in range(3):
-            message = refusal_at_depth(500, iter_words(200, 3, budget=10 ** 3000))
-            assert message == "600 letters at n=200, m=3 are too many to walk"
-            sizes.append(tracemalloc.get_traced_memory()[0])
-    finally:
-        tracemalloc.stop()
-        gc.enable()
-    assert abs(sizes[2] - sizes[0]) < 2 ** 19
-
-
-def test_refused_walk_frees_a_filled_memo_without_gc(monkeypatch):
-    # The first word, drawn at the test's own depth, fills the memo with its
-    # tail lists. The rest, consumed just deep enough, reuses them and then
-    # overflows inside a later build, seen as a _tail call shorter than the
-    # tail, so the refusal drops a filled memo and a list half built. The
-    # depth is searched for, down from one whose refusal comes first. The
-    # peak, mostly the walk's live frames, shows what had to be freed.
-    lefts = record_tail_lengths(monkeypatch)
-    t = _tail_length(60, 3)
-
-    def refused_in_a_build(depth: int) -> bool:
-        words = iter_words(60, 3, budget=10 ** 3000)
-        next(words)
-        lefts.clear()
-        message = refusal_at_depth(depth, words)
-        assert message == "180 letters at n=60, m=3 are too many to walk"
-        return min(lefts, default=t) < t
-
-    depth = sys.getrecursionlimit() - 100
-    assert not refused_in_a_build(depth)
-    while not refused_in_a_build(depth):
-        depth -= 1
-    gc.disable()
-    tracemalloc.start()
-    try:
-        for _ in range(3):
-            assert refused_in_a_build(depth)
-            # A refusal whose exception outlives it leaks about 90 KB a round.
-            assert tracemalloc.get_traced_memory()[0] < 2 ** 15
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-        gc.enable()
-    assert peak > 2 ** 17
-
-
-def test_refused_walk_frees_a_memo_of_large_lists_without_gc():
+@pytest.mark.parametrize(
+    "walk, drawn",
+    [
+        (lambda: iter_words(4, 3), 2000),
+        (lambda: iter_words(10 ** 4, 3, budget=10 ** 15000), 1),
+    ],
+    ids=["large-lists", "long-path"],
+)
+def test_abandoned_walk_frees_its_memo_without_gc(walk, drawn):
     # 2,000 words into iter_words(4, 3) the memo holds tail lists of up to
-    # 560 suffixes. The rest is drawn with three frames of stack to spare,
-    # so the first resume that needs a new list overflows, and its refusal
-    # must drop those lists with the walk.
-    limit = sys.getrecursionlimit()
+    # 560 suffixes; at the first word of 30,000 letters the walk's path and
+    # prefix hold one entry per letter. Dropping the walk, with no
+    # collection, must free both: the walk holds no reference cycle.
     gc.disable()
     tracemalloc.start()
     try:
         for _ in range(3):
-            words = iter_words(4, 3)
-            collections.deque(itertools.islice(words, 2000), 0)
+            words = walk()
+            collections.deque(itertools.islice(words, drawn), 0)
             filled = tracemalloc.get_traced_memory()[0]
-            sys.setrecursionlimit(recursion_depth() + 3)
-            try:
-                collections.deque(words, 0)
-            except SearchSizeError as exc:
-                message = str(exc)
-            finally:
-                sys.setrecursionlimit(limit)
-            assert message == "12 letters at n=4, m=3 are too many to walk"
+            del words
             assert filled > 2 ** 17
             assert tracemalloc.get_traced_memory()[0] < 2 ** 15
     finally:
