@@ -1279,21 +1279,164 @@ def test_walks_longer_than_the_recursion_limit_answer():
     assert first == "a" * 400 + "b" * 400 + "c" * 400
 
 
-def called_deep(frames: int, call):
-    """``call()``, run ``frames`` frames below the caller."""
-    return call() if frames <= 0 else called_deep(frames - 1, call)
+def stack_depth() -> int:
+    frame, depth = sys._getframe(), 0
+    while frame:
+        frame, depth = frame.f_back, depth + 1
+    return depth
 
 
-def test_walks_answer_deep_in_the_callers_stack():
-    # About 900 frames deep, with pytest's own: a walk of 500 letters
-    # would not fit under the recursion limit of 1000 there, and a listing
-    # created shallow is consumed on the deep stack.
+def recursion_depth() -> int:
+    """The caller's depth as the interpreter counts it, which, unlike
+    ``stack_depth``, includes C-level calls such as pytest's hook objects:
+    the least recursion limit accepted here, less two."""
+    limit, least = sys.getrecursionlimit(), stack_depth()
+    while True:
+        try:
+            sys.setrecursionlimit(least)
+            break
+        except RecursionError:
+            least += 1
+    sys.setrecursionlimit(limit)
+    return least - 2
+
+
+def called_at_depth(depth: int, call, frames: int | None = None):
+    """``call()``, run at recursion depth ``depth`` as the interpreter
+    counts it (``recursion_depth``). The stack is measured once, so a call
+    costs one frame per level."""
+    if frames is None:
+        frames = depth - recursion_depth() - 1
+    return call() if frames <= 0 else called_at_depth(depth, call, frames - 1)
+
+
+def overflows_at_depth(depth: int, call) -> bool:
+    """Whether ``call()``, run at recursion depth ``depth``, overflows the
+    stack. Only the answer leaves: the exception's traceback holds the
+    walk's dead frames until it is dropped."""
+    try:
+        called_at_depth(depth, call)
+    except RecursionError:
+        return True
+    return False
+
+
+def deepest_answer(make_call) -> int:
+    """The greatest recursion depth at which a call that ``make_call()``
+    makes at the caller's own depth answers, found by bisection below the
+    recursion limit. A fresh call is made for each try, so a listing is
+    made at the caller's depth and only consumed deep."""
+    low, high = recursion_depth() + 1, sys.getrecursionlimit()
+    assert not overflows_at_depth(low, make_call())
+    while low < high:
+        mid = (low + high + 1) // 2
+        if overflows_at_depth(mid, make_call()):
+            high = mid - 1
+        else:
+            low = mid
+    return low
+
+
+def test_walk_depth_counts_the_callers_frames():
+    # The walk is a loop, so the stack it needs below its caller does not
+    # grow with the word: a realization of 500 letters and one of 12,000
+    # answer equally deep, a few frames under the recursion limit (995 of
+    # 1000, measured), and so do listings of 500 and 12,000 letters, whose
+    # memoized tail recurses once per tail letter (987).
     assert sys.getrecursionlimit() == 1000
-    found = called_deep(850, lambda: search_realization(TRANSITIVE_4, 125, budget=10 ** 3000))
-    assert majority_digraph(found) == TRANSITIVE_4.edges
+    for make_walk in (
+        lambda n: functools.partial(search_realization, TRANSITIVE_4, n, budget=10 ** 30000),
+        lambda n: functools.partial(next, iter_words(n, 4, budget=10 ** 30000)),
+    ):
+        short, long = (deepest_answer(lambda: make_walk(n)) for n in (125, 3000))
+        assert short == long > 950
+
+
+def test_listing_consumed_deeper_than_created_is_refused_in_one_line():
+    # The stack that counts is the one that consumes a listing, not the one
+    # that made it. The recursive walk refused a 500-letter listing consumed
+    # about 600 deep, in one line; the loop answers it wherever its tail's
+    # few frames fit, and one level deeper the interpreter's RecursionError
+    # ends it.
+    deepest = deepest_answer(lambda: functools.partial(next, iter_words(125, 4, budget=10 ** 3000)))
+    assert deepest > 950
     words = iter_words(125, 4, budget=10 ** 3000)
-    assert called_deep(850, lambda: next(words)) == "".join(x * 125 for x in "abcd")
+    first = called_at_depth(deepest, functools.partial(next, words))
+    assert first == "".join(x * 125 for x in "abcd")
     assert next(words) == "".join(x * 125 for x in "ab") + "c" * 124 + "dc" + "d" * 124
+    words = iter_words(125, 4, budget=10 ** 3000)
+    assert overflows_at_depth(deepest + 1, functools.partial(next, words))
+    assert next(words, None) is None
+
+
+def test_refused_walk_frees_a_filled_memo_without_gc(monkeypatch):
+    # The first word, drawn at the test's own depth, fills the memo with its
+    # tail lists. The rest, consumed just deep enough, reuses them and then
+    # overflows inside a later build, seen as a _tail call shorter than the
+    # tail, so the RecursionError drops a filled memo and lists half built.
+    # The depth is searched for, down from one whose overflow comes before
+    # any build. The peak, mostly the memo and the walk's path, shows what
+    # had to be freed.
+    lefts = record_tail_lengths(monkeypatch)
+    t = _tail_length(60, 3)
+
+    def refused_in_a_build(depth: int) -> bool:
+        words = iter_words(60, 3, budget=10 ** 3000)
+        next(words)
+        lefts.clear()
+
+        def consume():
+            collections.deque(itertools.islice(words, 10 ** 5), 0)
+
+        return overflows_at_depth(depth, consume) and min(lefts, default=t) < t
+
+    depth = sys.getrecursionlimit() - 1
+    assert not refused_in_a_build(depth)
+    while not refused_in_a_build(depth):
+        depth -= 1
+    gc.disable()
+    tracemalloc.start()
+    try:
+        for _ in range(3):
+            assert refused_in_a_build(depth)
+            # An overflow whose exception outlives it would keep the memo.
+            assert tracemalloc.get_traced_memory()[0] < 2 ** 15
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert peak > 2 ** 17
+
+
+def test_refused_walk_frees_a_memo_of_large_lists_without_gc():
+    # 2,000 words into iter_words(4, 3) the memo holds tail lists of up to
+    # 560 suffixes. The rest is drawn with three frames of stack to spare,
+    # so the first resume that needs a new list overflows in the tail's
+    # recursion, and the RecursionError, which ends the walk while the test
+    # still holds it, must drop those lists with the walk.
+    limit = sys.getrecursionlimit()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        for _ in range(3):
+            words = iter_words(4, 3)
+            collections.deque(itertools.islice(words, 2000), 0)
+            filled = tracemalloc.get_traced_memory()[0]
+            overflowed = False
+            sys.setrecursionlimit(recursion_depth() + 3)
+            try:
+                collections.deque(words, 0)
+            except RecursionError:
+                overflowed = True
+            finally:
+                sys.setrecursionlimit(limit)
+            assert overflowed
+            assert next(words, None) is None
+            assert filled > 2 ** 17
+            assert tracemalloc.get_traced_memory()[0] < 2 ** 15
+    finally:
+        tracemalloc.stop()
+        gc.enable()
 
 
 @pytest.mark.parametrize(
