@@ -59,18 +59,19 @@ MUTANTS = [
     ("tail-length-plus-1", "search.py",
      "return min(t, m * n - 1)", "return min(t + 1, m * n - 1)"),
     ("clamp-cap-minus-1", "search.py",
-     "cap = need + (n - clamped[a]) * (n - clamped[b])",
-     "cap = need - 1 + (n - clamped[a]) * (n - clamped[b])"),
+     "cap = need + (n - ends[a]) * (n - ends[b])",
+     "cap = need - 1 + (n - ends[a]) * (n - ends[b])"),
     ("clamp-cap-plus-1", "search.py",
-     "cap = need + (n - clamped[a]) * (n - clamped[b])",
-     "cap = need + 1 + (n - clamped[a]) * (n - clamped[b])"),
+     "cap = need + (n - ends[a]) * (n - ends[b])",
+     "cap = need + 1 + (n - ends[a]) * (n - ends[b])"),
     ("reclamp-cap-plus-1", "search.py",
-     "clamped[pu] = need + (n - state[p]) * (n - count - 1)",
-     "clamped[pu] = need + 1 + (n - state[p]) * (n - count - 1)"),
-    ("clamp-edits-shared-list", "search.py",
-     "clamped = ends[:]", "clamped = ends"),
-    ("successor-not-restored", "search.py",
-     "ends[up] = state[up]", "ends[up] = hi"),
+     "ends[pu] = need + (n - state[p]) * (n - count - 1)",
+     "ends[pu] = need + 1 + (n - state[p]) * (n - count - 1)"),
+    ("moved-end-prune-le", "search.py",
+     "if hi < half:", "if hi <= half:"),
+    ("cut-layer-keeps-thr", "search.py",
+     "rows.append((state, mass, high, low, thr))",
+     "rows.append((state, mass, high, low, state[width]))"),
     ("carry-parent-low", "search.py",
      "following[key] = [mass, top, bottom]", "following[key] = [mass, top, low]"),
     ("rotation-skip-lt", "search.py",

@@ -465,17 +465,25 @@ def _census_layers(n: int, m: int) -> Iterator[dict[tuple[int, ...], list[int]]]
     balanced cuts, periodic states when m is composite) need no special
     case.
 
-    A successor is built in one list per stored state, ``ends``, a copy of
-    the state with its ``thr`` slot. For a letter of x the step writes x's
-    new count, its upper end ``hi`` and the mark into it, takes the tuple,
-    and restores x's two entries before the next die; every successor
-    writes its own mark. A successor that is clamped is clamped on a copy
-    of the list: the clamp lowers ends that no letter of x moves, and left
-    in ``ends`` they would pass into the successors by later dice. Each
-    rotation by k pairs is one ``itemgetter`` gather, built once per call,
-    that rotates the pairs and keeps the mark last, so a key is its least
-    rotation followed by the mark and keys order exactly as the pairs with
-    the mark appended did.
+    The step is die-major: for each die x in turn it steps every state of
+    the layer by a letter of x. Each state's ``thr``, lowered on a cut
+    layer, is computed once, before the die loops, into a row with its mass
+    and extremes. A letter of x first lowers x's hi, and a successor whose
+    hi is below half is dropped at once: every stored state has low >= half,
+    so the successor's bottom would exceed its top and its top would be
+    below need. The later test would drop it too; at odd n, where half =
+    need, this test makes every drop. A kept successor is built in its own
+    list ``ends``, a copy of the state with its ``thr`` slot: the step
+    writes x's new count, its upper end ``hi`` and the mark, clamps it in
+    place, and takes the tuple. A marked state's carried ``high`` and
+    ``low`` are those of whichever parent reaches it first, in this
+    die-major order. Which one does not matter: only ``high`` is read, and
+    only against need, and every stored marked state has every end and
+    ``high`` at need or above, so each of its parents answers that question
+    alike. Each rotation by k pairs is one ``itemgetter`` gather, built once
+    per call, that rotates the pairs and keeps the mark last, so a key is
+    its least rotation followed by the mark and keys order exactly as the
+    pairs with the mark appended did.
     """
     nsq = n * n
     need = nsq // 2 + 1
@@ -495,22 +503,26 @@ def _census_layers(n: int, m: int) -> Iterator[dict[tuple[int, ...], list[int]]]
     for depth in range(m * n):
         j = depth // m
         cut = j and depth == m * j
-        following: dict[tuple[int, ...], list[int]] = {}
-        stored = following.get
+        rows = []
         for state, (mass, high, low) in layer.items():
             thr = state[width]
             if thr and cut:
                 wins = state[1] - (n - j) * n
                 if 2 * wins > j * j and state[:width] == (j, state[1]) * m:
                     thr = min(thr, _cut_threshold(j, n, wins))
-            ends = list(state)
-            for at, up, s, p, pu in dice:
+            rows.append((state, mass, high, low, thr))
+        following: dict[tuple[int, ...], list[int]] = {}
+        stored = following.get
+        for at, up, s, p, pu in dice:
+            for state, mass, high, low, thr in rows:
                 count = state[at]
                 if count == n:
                     continue
                 # The two ends a letter of this die moves, ``hi`` and its
                 # predecessor's ``lo``, give the successor's extremes.
                 hi = state[up] - n + state[s]
+                if hi < half:
+                    continue  # below low >= half: unbalanced, and hi < need
                 top = hi if hi < high else high
                 lo = state[pu] - (n - state[p]) * (n - count - 1)
                 bottom = lo if lo > low else low
@@ -518,25 +530,21 @@ def _census_layers(n: int, m: int) -> Iterator[dict[tuple[int, ...], list[int]]]
                 mark = thr if bottom <= top else 0
                 if not mark and top < need:
                     continue
+                ends = list(state)
                 ends[at] = count + 1
                 ends[up] = hi
                 ends[width] = mark
-                if not mark and (thr or lo > need):
-                    clamped = ends[:]
+                if not mark:
                     if thr:
                         # Marked by this step: clamp every die's upper end.
                         for a, u, b, _, _ in dice:
-                            cap = need + (n - clamped[a]) * (n - clamped[b])
-                            if clamped[u] > cap:
-                                clamped[u] = cap
-                    else:
+                            cap = need + (n - ends[a]) * (n - ends[b])
+                            if ends[u] > cap:
+                                ends[u] = cap
+                    elif lo > need:
                         # Marked before: only pred x's cap fell below its end.
-                        clamped[pu] = need + (n - state[p]) * (n - count - 1)
-                    src = tuple(clamped)
-                else:
-                    src = tuple(ends)
-                ends[at] = count
-                ends[up] = state[up]
+                        ends[pu] = need + (n - state[p]) * (n - count - 1)
+                src = tuple(ends)
                 key = src
                 for k, turn in turns:
                     if src[k] <= key[0]:  # else this rotation sorts later
